@@ -30,7 +30,9 @@
 // the /healthz cache-hit counters make the sharing observable. A full
 // queue answers 503 with Retry-After. SIGINT/SIGTERM shut down
 // gracefully: intake stops, in-flight runs are canceled, and the
-// process exits once the workers drain (bounded by -grace).
+// process exits once the workers drain (bounded by -grace). A client
+// gets 10s to send its request headers and may hold an idle
+// connection for 2m; a request body or event stream has no deadline.
 //
 // A scenario with live providers ("source": {"kind":"live"}, with a
 // "stream" block) takes its tasks online: POST NDJSON task records to
@@ -138,6 +140,11 @@ func run(args []string) int {
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: api.New(eng, apiOpts...),
+		// Bound how long a client may hold a connection without sending a
+		// request. There is no ReadTimeout or WriteTimeout: event streams
+		// and long task-ingest bodies stay open as long as they flow.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -387,8 +387,8 @@ func (e *Engine) buildScenarioRequest(req SubmitRequest, cfg runConfig) (service
 		// fails a recovered live run as lost.
 		key, persisted = "", nil
 		feed = stream.NewFeed()
-		for _, name := range live {
-			if _, err := feed.Add(name, spec.Stream.BufferTasks); err != nil {
+		for _, p := range live {
+			if _, err := feed.Add(p.Name, spec.Stream.BufferTasks, p.FixedNodes); err != nil {
 				return service.Request{}, nil, fmt.Errorf("dawningcloud: submit scenario %s: %w", spec.Name, err)
 			}
 		}
@@ -399,12 +399,12 @@ func (e *Engine) buildScenarioRequest(req SubmitRequest, cfg runConfig) (service
 				return nil, err
 			}
 			c.Sources = make(map[string]stream.Source, len(live))
-			for _, name := range live {
-				src, err := f.Get(name)
+			for _, p := range live {
+				src, err := f.Get(p.Name)
 				if err != nil {
 					return nil, err
 				}
-				c.Sources[name] = src
+				c.Sources[p.Name] = src
 			}
 			// A feeder blocked in a live source's Next cannot observe ctx;
 			// cancellation must reach it through the feed.

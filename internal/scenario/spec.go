@@ -412,21 +412,13 @@ func (s *Spec) Validate() error {
 // Streamed reports whether the spec runs on the streamed path.
 func (s *Spec) Streamed() bool { return s.Stream != nil && s.Stream.Enabled }
 
-// LiveProviders lists the expanded names of providers with live task
-// feeds, in compile order.
-func (s *Spec) LiveProviders() []string {
-	var out []string
+// LiveProviders lists the providers with live task feeds, in compile
+// order. Live providers cannot replicate, so each name is one lane.
+func (s *Spec) LiveProviders() []*ProviderSpec {
+	var out []*ProviderSpec
 	for i := range s.Providers {
-		p := &s.Providers[i]
-		if p.Source.Kind != "live" {
-			continue
-		}
-		if p.Count <= 1 {
-			out = append(out, p.Name)
-			continue
-		}
-		for k := 1; k <= p.Count; k++ {
-			out = append(out, fmt.Sprintf("%s-%02d", p.Name, k))
+		if s.Providers[i].Source.Kind == "live" {
+			out = append(out, &s.Providers[i])
 		}
 	}
 	return out

@@ -145,7 +145,7 @@ func TestLiveScenarioMatchesMaterialized(t *testing.T) {
 			Nodes:   1 + i%8,
 		})
 	}
-	src := stream.NewLiveSource(0)
+	src := stream.NewLiveSource(0, 16)
 	for i := range jobs {
 		if err := src.TryPush(jobs[i]); err != nil {
 			t.Fatal(err)

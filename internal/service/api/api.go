@@ -573,13 +573,13 @@ type taskResponse struct {
 
 // handleTasks ingests NDJSON task records (stream.TaskRecord lines)
 // into a live-fed run's task feed. Validation is strict and per record
-// — unknown fields, structural problems and submit-order violations
-// reject with 400 at the offending line — and backpressure is explicit:
-// a full lane buffer answers 503 with Retry-After, and the accepted
-// count in the body tells the client where to resume. The explicit
-// end-of-stream record {"end":true} closes the lane(s); without it the
-// run keeps waiting, since the virtual clock cannot prove no earlier
-// task is still coming.
+// — unknown fields, structural problems, tasks wider than the lane's
+// provider and submit-order violations reject with 400 at the offending
+// line — and backpressure is explicit: a full lane buffer answers 503
+// with Retry-After, and the accepted count in the body tells the client
+// where to resume. The explicit end-of-stream record {"end":true}
+// closes the lane(s); without it the run keeps waiting, since the
+// virtual clock cannot prove no earlier task is still coming.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.eng.Handle(id); !ok {
@@ -592,8 +592,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			"run %s takes no tasks (only non-terminal runs of scenarios with live providers do)", id)
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
+	dec := stream.NewRecordDecoder(r.Body)
 	accepted := 0
 	fail := func(code int, format string, args ...any) {
 		writeJSON(w, code, taskResponse{

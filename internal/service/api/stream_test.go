@@ -164,12 +164,20 @@ func TestTaskValidation(t *testing.T) {
 		name, body string
 		code       int
 		accepted   int
+		err        string
 	}{
-		{"unknown field", `{"id":1,"submit":0,"runtime":60,"nodes":1,"bogus":true}`, http.StatusBadRequest, 0},
-		{"structurally invalid", `{"id":1,"submit":0,"runtime":60,"nodes":0}`, http.StatusBadRequest, 0},
-		{"unknown lane", `{"id":1,"submit":0,"runtime":60,"nodes":1,"workload":"nope"}`, http.StatusBadRequest, 0},
+		{"unknown field", `{"id":1,"submit":0,"runtime":60,"nodes":1,"bogus":true}`, http.StatusBadRequest, 0,
+			`record 1: json: unknown field "bogus"`},
+		{"structurally invalid", `{"id":1,"submit":0,"runtime":60,"nodes":0}`, http.StatusBadRequest, 0,
+			"record 1: job 1: nodes 0 < 1"},
+		{"unknown lane", `{"id":1,"submit":0,"runtime":60,"nodes":1,"workload":"nope"}`, http.StatusBadRequest, 0,
+			`record 1: stream: no live lane "nope"`},
+		{"wider than the provider", `{"id":5,"submit":0,"runtime":60,"nodes":8}` + "\n" +
+			`{"id":6,"submit":0,"runtime":60,"nodes":16}`, http.StatusBadRequest, 1,
+			"record 2: job 6: 16 nodes exceed fixed RE size 8"},
 		{"submit order", `{"id":1,"submit":100,"runtime":60,"nodes":1}` + "\n" +
-			`{"id":2,"submit":50,"runtime":60,"nodes":1}`, http.StatusBadRequest, 1},
+			`{"id":2,"submit":50,"runtime":60,"nodes":1}`, http.StatusBadRequest, 1,
+			"record 2: job 2: submit 50 before previous 100 (sources must be submit-sorted)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,8 +188,8 @@ func TestTaskValidation(t *testing.T) {
 			if tr.Accepted != tc.accepted {
 				t.Fatalf("accepted %d, want %d", tr.Accepted, tc.accepted)
 			}
-			if tr.Error == "" {
-				t.Fatalf("error body missing")
+			if tr.Error != tc.err {
+				t.Fatalf("error %q, want %q", tr.Error, tc.err)
 			}
 		})
 	}
@@ -236,6 +244,9 @@ func TestTaskBackpressure(t *testing.T) {
 	}
 	if tr.Accepted != 1 {
 		t.Errorf("accepted %d, want 1 (the resume point)", tr.Accepted)
+	}
+	if want := "record 2: stream: live buffer full"; tr.Error != want {
+		t.Errorf("error %q, want %q", tr.Error, want)
 	}
 }
 

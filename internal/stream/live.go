@@ -33,8 +33,9 @@ const DefaultLiveBuffer = 1024
 // cannot interrupt a blocked event callback, drivers of live runs must
 // wire cancellation to Fail (see Abort).
 type LiveSource struct {
-	ch   chan job.Job
-	done chan struct{}
+	ch    chan job.Job
+	done  chan struct{}
+	nodes int // the lane's fixed RE size: wider tasks could never run
 
 	mu         sync.Mutex
 	closed     bool
@@ -46,14 +47,17 @@ type LiveSource struct {
 }
 
 // NewLiveSource creates a live source with a bounded buffer of the given
-// capacity (DefaultLiveBuffer when <= 0).
-func NewLiveSource(buffer int) *LiveSource {
+// capacity (DefaultLiveBuffer when <= 0) for a provider whose fixed
+// runtime environment has the given number of nodes; it refuses wider
+// tasks, as compiling a materialized workload does.
+func NewLiveSource(buffer, fixedNodes int) *LiveSource {
 	if buffer <= 0 {
 		buffer = DefaultLiveBuffer
 	}
 	return &LiveSource{
-		ch:   make(chan job.Job, buffer),
-		done: make(chan struct{}),
+		ch:    make(chan job.Job, buffer),
+		done:  make(chan struct{}),
+		nodes: fixedNodes,
 	}
 }
 
@@ -68,6 +72,9 @@ func (s *LiveSource) admit(j *job.Job) error {
 	}
 	if err := validate(j, s.lastSubmit, s.seeded); err != nil {
 		return err
+	}
+	if j.Nodes > s.nodes {
+		return fmt.Errorf("job %d: %d nodes exceed fixed RE size %d", j.ID, j.Nodes, s.nodes)
 	}
 	return nil
 }
@@ -126,9 +133,10 @@ func (s *LiveSource) Close() error {
 	return nil
 }
 
-// Fail aborts the stream: Next returns err immediately, dropping any
+// Fail aborts the stream: every later Next returns err, dropping any
 // buffered jobs. It is how cancellation reaches a Feeder blocked in
-// Next. Fail after Close or Fail is a no-op.
+// Next. Fail after Close still fails the source, so cancelling a run
+// after its end record stops it; a second Fail keeps the first error.
 func (s *LiveSource) Fail(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -159,6 +167,13 @@ func (s *LiveSource) Closed() bool {
 // Next implements Source. It blocks until the producer supplies a
 // record, closes the stream (io.EOF) or fails it.
 func (s *LiveSource) Next() (job.Job, error) {
+	// A failed source must not hand out buffered jobs, and a select with
+	// both channels ready picks one at random: check done first.
+	select {
+	case <-s.done:
+		return job.Job{}, s.failErr
+	default:
+	}
 	select {
 	case j, ok := <-s.ch:
 		if !ok {
@@ -184,14 +199,15 @@ func NewFeed() *Feed {
 	return &Feed{sources: make(map[string]*LiveSource)}
 }
 
-// Add creates and registers the live source for one named lane.
-func (f *Feed) Add(name string, buffer int) (*LiveSource, error) {
+// Add creates and registers the live source for one named lane (see
+// NewLiveSource).
+func (f *Feed) Add(name string, buffer, fixedNodes int) (*LiveSource, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.sources[name]; ok {
 		return nil, fmt.Errorf("stream: duplicate live lane %q", name)
 	}
-	s := NewLiveSource(buffer)
+	s := NewLiveSource(buffer, fixedNodes)
 	f.sources[name] = s
 	f.order = append(f.order, name)
 	return s, nil

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,4 +65,150 @@ func WriteNDJSON(w io.Writer, workload string, jobs []job.Job) error {
 		return fmt.Errorf("stream: encode end record: %w", err)
 	}
 	return nil
+}
+
+// RecordDecoder reads task records from an NDJSON body with the
+// semantics of a json.Decoder with DisallowUnknownFields: the same
+// records, the same error text, at the same record. It parses the lines
+// WriteNDJSON writes without reflection: one compact object per line
+// ending in '\n', keys among TaskRecord's exact lowercase names, integer
+// literals, true/false, and printable-ASCII strings without escapes. At
+// the first line in any other form it hands the rest of the body,
+// starting at that line's first byte, to a json.Decoder.
+//
+// The guarantee covers bodies read to their end and bodies cut by a
+// read error that every later read repeats, as a failed connection
+// does. Until it falls back, Decode waits for the '\n' that ends a
+// line (or the end of the body, or a full 4 KiB buffer) before it
+// returns the line's first record.
+type RecordDecoder struct {
+	r   *bufio.Reader
+	dec *json.Decoder // set at the first line off the fast path
+}
+
+// NewRecordDecoder returns a decoder reading from r.
+func NewRecordDecoder(r io.Reader) *RecordDecoder {
+	return &RecordDecoder{r: bufio.NewReader(r)}
+}
+
+// Decode stores the next record in *rec, which it zeroes first, and
+// returns io.EOF after the last one.
+func (d *RecordDecoder) Decode(rec *TaskRecord) error {
+	*rec = TaskRecord{}
+	if d.dec == nil {
+		line, err := d.r.ReadSlice('\n')
+		if err == nil && parseRecord(line[:len(line)-1], rec) {
+			return nil
+		}
+		if err == io.EOF && len(line) == 0 {
+			return io.EOF
+		}
+		*rec = TaskRecord{}
+		// ReadSlice has consumed the line; replay it ahead of the rest.
+		d.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), d.r))
+		d.dec.DisallowUnknownFields()
+	}
+	return d.dec.Decode(rec)
+}
+
+// parseRecord parses one fast-path line, without its '\n', into *rec.
+// It reports false for a line in any other form, valid JSON or not.
+func parseRecord(b []byte, rec *TaskRecord) bool {
+	if len(b) < 2 || b[0] != '{' || b[len(b)-1] != '}' {
+		return false
+	}
+	b = b[1 : len(b)-1]
+	for len(b) > 0 {
+		key, rest, ok := parseString(b)
+		if !ok || len(rest) == 0 || rest[0] != ':' {
+			return false
+		}
+		b = rest[1:]
+		var s []byte
+		switch string(key) {
+		case "end":
+			rec.End, b, ok = parseBool(b)
+		case "id":
+			rec.ID, b, ok = parseInt[int](b)
+		case "name":
+			s, b, ok = parseString(b)
+			rec.Name = string(s)
+		case "submit":
+			rec.Submit, b, ok = parseInt[int64](b)
+		case "runtime":
+			rec.Runtime, b, ok = parseInt[int64](b)
+		case "nodes":
+			rec.Nodes, b, ok = parseInt[int](b)
+		case "workload":
+			s, b, ok = parseString(b)
+			rec.Workload = string(s)
+		default:
+			return false
+		}
+		if !ok {
+			return false
+		}
+		if len(b) > 0 {
+			if b[0] != ',' || len(b) == 1 {
+				return false
+			}
+			b = b[1:]
+		}
+	}
+	return true
+}
+
+// parseString splits off the JSON string at the start of b and returns
+// its contents, if they are printable ASCII without escapes.
+func parseString(b []byte) (s, rest []byte, ok bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return nil, nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return b[1:i], b[i+1:], true
+		case c < ' ' || c > '~' || c == '\\':
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+// parseBool splits off the literal true or false at the start of b.
+func parseBool(b []byte) (v bool, rest []byte, ok bool) {
+	switch {
+	case bytes.HasPrefix(b, []byte("true")):
+		return true, b[4:], true
+	case bytes.HasPrefix(b, []byte("false")):
+		return false, b[5:], true
+	}
+	return false, nil, false
+}
+
+// parseInt splits off the integer literal at the start of b. It takes
+// at most 18 digits, so the value fits an int64, and leaves "-0" and
+// leading zeros to the fallback.
+func parseInt[T int | int64](b []byte) (v T, rest []byte, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	digits := b
+	if neg {
+		digits = b[1:]
+	}
+	n := 0
+	for n < len(digits) && '0' <= digits[n] && digits[n] <= '9' {
+		n++
+	}
+	if n == 0 || n > 18 || digits[0] == '0' && (n > 1 || neg) {
+		return 0, nil, false
+	}
+	var x int64
+	for _, c := range digits[:n] {
+		x = 10*x + int64(c-'0')
+	}
+	if neg {
+		x = -x
+	}
+	v = T(x)
+	return v, digits[n:], int64(v) == x
 }

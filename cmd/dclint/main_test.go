@@ -17,7 +17,6 @@ func TestExitCodes(t *testing.T) {
 		{"walltime fixture", []string{"./internal/lint/testdata/src/internal/sim"}, 1},
 		{"mapiter fixture", []string{"./internal/lint/testdata/src/mapiter/a"}, 1},
 		{"ctxfirst fixture", []string{"./internal/lint/testdata/src/ctxfirst/a"}, 1},
-		{"deprecated fixture", []string{"./internal/lint/testdata/src/deprecated/a"}, 1},
 		{"malformed directives fixture", []string{"./internal/lint/testdata/src/suppress/bad"}, 1},
 		{"suppressed fixture is clean", []string{"./internal/lint/testdata/src/suppress/ok"}, 0},
 	}

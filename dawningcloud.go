@@ -53,8 +53,7 @@
 //
 // Runs accept a context and honor cancellation end-to-end;
 // WithEvents subscribes to the typed progress stream (run started, cell
-// completed, table rendered). The pre-Engine enum API (System, Run,
-// RunSystems, AllSystems) remains as deprecated wrappers in compat.go.
+// completed, table rendered).
 package dawningcloud
 
 import (

@@ -131,15 +131,23 @@ func TestEngineDurableCrashMidRunResumes(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	// Workers: 1 and a queue hog keep the scenario strictly queued, so
-	// the "crash" provably lands before any attempt ran.
+	// Workers: 1 and a hog that holds the worker until the copy is
+	// taken keep the scenario strictly queued, so the "crash" provably
+	// lands before any attempt ran.
+	release := make(chan struct{})
+	hold := RunnerFunc(func(ctx context.Context, wls []Workload, opts Options) (Result, error) {
+		select {
+		case <-release:
+			return Result{System: "hold"}, nil
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
+	})
 	eng1 := durableEngine(t, dir, ServiceConfig{Workers: 1})
-	hogSpec, err := ParseScenario([]byte(`{"name":"hog","days":1,"systems":["DCS"],
-		"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng1.Submit(context.Background(), SubmitRequest{Scenario: hogSpec}, WithWorkers(1)); err != nil {
+	eng1.MustRegister("hold", hold)
+	hogWorkload := Workload{Name: "hog", Class: HTC, FixedNodes: 1, Params: HTCPolicy(1, 1.5),
+		Jobs: []Job{{ID: 1, Class: HTC, Submit: 0, Runtime: 60, Nodes: 1}}}
+	if _, err := eng1.Submit(context.Background(), SubmitRequest{System: "hold", Workloads: []Workload{hogWorkload}}); err != nil {
 		t.Fatal(err)
 	}
 	spec1, _ := ParseScenario([]byte(durableScenarioSrc))
@@ -150,8 +158,12 @@ func TestEngineDurableCrashMidRunResumes(t *testing.T) {
 
 	crashDir := t.TempDir()
 	copyDir(t, dir, crashDir)
+	close(release)
 
+	// The copy holds the hog too; the rebooted engine recovers it like
+	// any other run, and with release closed it returns at once.
 	eng2 := durableEngine(t, crashDir, ServiceConfig{Workers: 2})
+	eng2.MustRegister("hold", hold)
 	h2, ok := eng2.Handle(h1.ID())
 	if !ok {
 		t.Fatalf("interrupted run %s not recovered", h1.ID())

@@ -2,6 +2,7 @@ package dawningcloud
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -61,11 +62,17 @@ type Engine struct {
 	svcOnce sync.Once
 	svc     *service.Service
 
-	// feeds maps live-fed run IDs to their task feeds (the producer half
-	// of the runs' live sources); entries live from Submit until the run
-	// turns terminal.
+	// feeds maps live-fed run IDs to their runs and task feeds (the
+	// producer half of the runs' live sources); entries live from Submit
+	// until the run turns terminal.
 	feedMu sync.Mutex
-	feeds  map[string]*stream.Feed
+	feeds  map[string]liveRun
+}
+
+// liveRun is a live-fed run and its task feed.
+type liveRun struct {
+	run  *service.Run
+	feed *stream.Feed
 }
 
 var defaultEngine = &Engine{reg: registry.Default}
@@ -217,20 +224,26 @@ func (e *Engine) Submit(ctx context.Context, req SubmitRequest, opts ...RunOptio
 // tasks still drain), end everything with CloseAll.
 type LiveFeed = stream.Feed
 
+// ErrRunTerminal is the error every lane of a live run's feed fails
+// with once the run is terminal: a producer that obtained the feed just
+// before the run finished learns that the run takes no more tasks
+// (dcserve answers it with 409, like a POST to a finished run).
+var ErrRunTerminal = errors.New("dawningcloud: run is terminal")
+
 // registerFeed indexes a live run's task feed by run ID for Feed, and
 // retires it when the run turns terminal: remaining producers get
-// errors instead of feeding a dead run.
+// ErrRunTerminal instead of feeding a dead run.
 func (e *Engine) registerFeed(run *service.Run, feed *stream.Feed) {
 	id := run.ID()
 	e.feedMu.Lock()
 	if e.feeds == nil {
-		e.feeds = make(map[string]*stream.Feed)
+		e.feeds = make(map[string]liveRun)
 	}
-	e.feeds[id] = feed
+	e.feeds[id] = liveRun{run: run, feed: feed}
 	e.feedMu.Unlock()
 	go func() {
 		<-run.Done()
-		feed.FailAll(fmt.Errorf("dawningcloud: run %s is terminal", id))
+		feed.FailAll(fmt.Errorf("%w: %s", ErrRunTerminal, id))
 		e.feedMu.Lock()
 		delete(e.feeds, id)
 		e.feedMu.Unlock()
@@ -239,11 +252,21 @@ func (e *Engine) registerFeed(run *service.Run, feed *stream.Feed) {
 
 // Feed returns the live task feed of a run with live providers. ok is
 // false for runs without one — no live providers, terminal, or evicted.
+// A run is terminal here as soon as its result is, even before the
+// feed's retirement has run.
 func (e *Engine) Feed(id string) (*LiveFeed, bool) {
 	e.feedMu.Lock()
 	defer e.feedMu.Unlock()
-	f, ok := e.feeds[id]
-	return f, ok
+	lr, ok := e.feeds[id]
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-lr.run.Done():
+		return nil, false
+	default:
+		return lr.feed, true
+	}
 }
 
 // Handle returns the handle of a stored run by ID (previously submitted
@@ -299,7 +322,8 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 // Register adds a system under name (case-insensitively unique). The
 // system is immediately runnable via Run, RunAll and Sweep; on the
 // default engine it also becomes available to the CLIs and to scenario
-// specs by name.
+// specs by name. A Runner runs blocking only: streamed and federated
+// runs need a backend registered in internal/registry.
 func (e *Engine) Register(name string, r Runner) error { return e.reg.Register(name, r) }
 
 // MustRegister is Register, panicking on error.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -67,6 +68,75 @@ func TestEngineRunByName(t *testing.T) {
 	p, _ := res.Provider("montage-mtc")
 	if p.Completed != 1000 {
 		t.Errorf("completed = %d, want 1000", p.Completed)
+	}
+}
+
+// TestRunAllSystemsEndToEnd runs each paper system by name over the
+// Montage workflow: every one completes all 1,000 tasks at a positive
+// rate.
+func TestRunAllSystemsEndToEnd(t *testing.T) {
+	montage, err := MontageWorkload(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Horizon: 6 * 3600}
+	for _, system := range []string{"DawningCloud", "SSP", "DCS", "DRP"} {
+		res, err := DefaultEngine().Run(context.Background(), system, []Workload{montage}, WithOptions(opts))
+		if err != nil {
+			t.Fatalf("Run(%s): %v", system, err)
+		}
+		p, ok := res.Provider("montage-mtc")
+		if !ok {
+			t.Fatalf("%s: provider missing", system)
+		}
+		if p.Completed != 1000 {
+			t.Errorf("%s: completed = %d, want 1000", system, p.Completed)
+		}
+		if p.TasksPerSecond <= 0 {
+			t.Errorf("%s: tasks/s = %g", system, p.TasksPerSecond)
+		}
+	}
+}
+
+// TestRunSystemsMatchesSequentialRuns checks the concurrent fan-out:
+// RunAll's results come back in input order, equal to one-at-a-time Run
+// calls, and leave the caller's workloads unmodified.
+func TestRunSystemsMatchesSequentialRuns(t *testing.T) {
+	montage, err := MontageWorkload(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wls := []Workload{montage}
+	before := CloneWorkloads(wls)
+	opts := Options{Horizon: 6 * 3600}
+	names := []string{"DCS", "SSP", "DRP", "DawningCloud"}
+	parallel, err := DefaultEngine().RunAll(context.Background(), names, wls, WithOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parallel) != len(names) {
+		t.Fatalf("results = %d, want %d", len(parallel), len(names))
+	}
+	for i, system := range names {
+		res, err := DefaultEngine().Run(context.Background(), system, CloneWorkloads(wls), WithOptions(opts))
+		if err != nil {
+			t.Fatalf("Run(%s): %v", system, err)
+		}
+		if !reflect.DeepEqual(parallel[i], res) {
+			t.Errorf("RunAll result %d diverged from the sequential %s run:\n got %+v\nwant %+v", i, system, parallel[i], res)
+		}
+	}
+	if !reflect.DeepEqual(wls, before) {
+		t.Error("RunAll mutated the caller's workloads")
+	}
+}
+
+// TestRunSystemsPropagatesErrors: one unknown name fails the whole
+// fan-out.
+func TestRunSystemsPropagatesErrors(t *testing.T) {
+	_, err := DefaultEngine().RunAll(context.Background(), []string{"DawningCloud", "no-such-system"}, nil, WithWorkers(2))
+	if err == nil {
+		t.Error("invalid input accepted")
 	}
 }
 
@@ -342,5 +412,55 @@ func TestScenarioCancellation(t *testing.T) {
 	_, err = RunScenarioContext(ctx, spec, 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFeedRetiredOnceResultReturns pins that a finished live run hands
+// out no feed: Feed reports false as soon as the run's result is
+// available, not only once the feed's retirement has run. A producer
+// that kept the feed learns the run is over through ErrRunTerminal.
+func TestFeedRetiredOnceResultReturns(t *testing.T) {
+	eng := NewEngine(WithServiceConfig(ServiceConfig{Workers: 1}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := eng.Shutdown(ctx); err != nil {
+			t.Errorf("engine shutdown: %v", err)
+		}
+	})
+	spec, err := ParseScenario([]byte(`{"name":"feed-retire","days":1,"systems":["SSP"],
+		"providers":[{"name":"org","fixed_nodes":8,"source":{"kind":"live"}}],
+		"stream":{"enabled":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := eng.Submit(context.Background(), SubmitRequest{Scenario: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed, ok := eng.Feed(h.ID())
+	if !ok {
+		t.Fatal("live run has no feed")
+	}
+	src, err := feed.Get("org")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.TryPush(Job{ID: 1, Class: HTC, Submit: 0, Runtime: 60, Nodes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	feed.CloseAll()
+	if _, err := h.Result(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := eng.Feed(h.ID()); ok {
+		t.Fatal("Feed handed out the feed of a run whose result has returned")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for err := src.Close(); !errors.Is(err, ErrRunTerminal); err = src.Close() {
+		if time.Now().After(deadline) {
+			t.Fatalf("end record on a retired lane: %v, want ErrRunTerminal", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,7 +1,7 @@
 // Package clustersim runs N provider instances behind one shared
 // virtual clock with a pluggable routing policy — the federated
 // counterpart of the single-platform consolidation the paper evaluates.
-// Each instance is a full simulation of one registered system (its own
+// Each instance is a full simulation of one registered backend (its own
 // engine, node pool, accountant and provision service) opened through
 // the open/attach/finalize instance API; the orchestrator dispatches
 // each service provider's workload to an instance at simulation time and
@@ -45,10 +45,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
-	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/spot"
 	"repro/internal/systems"
@@ -59,11 +58,6 @@ import (
 // life of the run.
 type InstanceID int
 
-// DefaultCapacity is the node pool size of an instance that does not
-// constrain capacity — the paper's "large cloud platform", matching the
-// DRP/DawningCloud never-reject default.
-const DefaultCapacity = 1 << 20
-
 // DefaultWindow is the aggregation window for ClusterWindow events.
 const DefaultWindow = sim.Day
 
@@ -73,78 +67,13 @@ const DefaultWindow = sim.Day
 // share a seed.
 const instanceSeedStride = 104729
 
-// Backend is the open simulation a ProviderInstance wraps: a system
-// that can accept provider workloads incrementally and be driven by an
-// external loop through the sim step primitives. systems.FixedInstance,
-// systems.DRPInstance, core.Instance and spot.Instance all satisfy it.
-type Backend interface {
-	// Engine exposes the instance's simulation engine for stepping.
-	Engine() *sim.Engine
-	// Attach admits one (already validated) provider workload at the
-	// engine's current virtual time.
-	Attach(wl *systems.Workload) error
-	// Finalize settles accounting at horizon and assembles the Result.
-	Finalize(horizon sim.Time) (systems.Result, error)
-	// PoolLoad snapshots node pool occupancy.
-	PoolLoad() (inUse, capacity int)
-}
-
-// OpenBackend opens one instance's backend over a pool of capacity
-// nodes. opts carries the instance's derived seed.
-type OpenBackend func(capacity int, opts systems.Options) (Backend, error)
-
-// openBackend maps a canonical system name to its instance opener for
-// the built-in systems. (The blocking registry.Runner interface cannot
-// back a steppable instance, so federation support is a second, smaller
-// mapping; extensions with open/attach/finalize support can be added
-// here when the need arises.)
-// FederatedSystems lists the registered systems with federated instance
-// support, in presentation order.
-func FederatedSystems() []string {
-	return []string{"DCS", "SSP", "DRP", "DawningCloud", spot.Name}
-}
-
-// CanFederate reports whether the named system can back a federated
-// provider instance (has open/attach/finalize support).
-func CanFederate(system string) bool {
-	_, err := openBackend(system)
-	return err == nil
-}
-
-func openBackend(system string) (OpenBackend, error) {
-	switch system {
-	case "DCS":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return systems.OpenFixed("DCS", true, capacity, opts)
-		}, nil
-	case "SSP":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return systems.OpenFixed("SSP", false, capacity, opts)
-		}, nil
-	case "DRP":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return systems.OpenDRP(capacity, opts)
-		}, nil
-	case "DawningCloud":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return core.Open(capacity, core.Config{Options: opts})
-		}, nil
-	case spot.Name:
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return spot.Open(capacity, opts)
-		}, nil
-	}
-	return nil, fmt.Errorf("clustersim: system %q has no federated instance support (supported: %s)",
-		system, strings.Join(FederatedSystems(), ", "))
-}
-
 // InstanceConfig describes one provider instance of a federation.
 type InstanceConfig struct {
 	// Name labels the instance in results and events; empty derives
 	// "instance-<id>".
 	Name string
 	// Capacity is the instance's node pool size; zero means
-	// DefaultCapacity (never rejecting).
+	// systems.UnboundedCapacity (never rejecting) for every system.
 	Capacity int
 	// PricePerNodeHour is the instance's on-demand rate, observed by the
 	// cost-aware routing policy; zero means the paper's 2009 EC2 rate
@@ -154,7 +83,7 @@ type InstanceConfig struct {
 
 // Config describes a federation run.
 type Config struct {
-	// System is the registered system name every instance runs
+	// System is the registered backend every instance runs
 	// (federations are homogeneous; comparing systems is the scenario
 	// layer's job).
 	System string
@@ -181,7 +110,7 @@ type ProviderInstance struct {
 	name    string
 	seed    int64
 	price   float64
-	backend Backend
+	backend systems.Instance
 
 	attached   int
 	dispatched int
@@ -197,9 +126,6 @@ func (p *ProviderInstance) Name() string { return p.name }
 // seed and the InstanceID, so per-instance randomness is independent of
 // instance count and event interleaving.
 func (p *ProviderInstance) Seed() int64 { return p.seed }
-
-// Backend exposes the wrapped open simulation.
-func (p *ProviderInstance) Backend() Backend { return p.backend }
 
 // InstanceState is one instance's observable state in the snapshot a
 // routing policy receives at dispatch time.
@@ -296,9 +222,9 @@ func New(cfg Config) (*ClusterSim, error) {
 	if len(cfg.Instances) == 0 {
 		return nil, fmt.Errorf("clustersim: federation needs at least one instance")
 	}
-	open, err := openBackend(cfg.System)
+	b, err := registry.Default.Backend(cfg.System)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("clustersim: %w", err)
 	}
 	policy, err := NewPolicy(cfg.Policy, PolicyConfig{
 		Instances: len(cfg.Instances),
@@ -309,7 +235,7 @@ func New(cfg Config) (*ClusterSim, error) {
 	}
 	c := &ClusterSim{
 		cfg:       cfg,
-		system:    cfg.System,
+		system:    b.Name,
 		policy:    policy,
 		instances: make([]*ProviderInstance, 0, len(cfg.Instances)),
 		walks:     make([]*spot.PriceWalk, len(cfg.Instances)),
@@ -322,7 +248,7 @@ func New(cfg Config) (*ClusterSim, error) {
 		}
 		capacity := ic.Capacity
 		if capacity == 0 {
-			capacity = DefaultCapacity
+			capacity = systems.UnboundedCapacity
 		}
 		price := ic.PricePerNodeHour
 		if price == 0 {
@@ -332,7 +258,7 @@ func New(cfg Config) (*ClusterSim, error) {
 		opts := cfg.Options
 		opts.Seed = seed
 		opts.PoolCapacity = capacity
-		backend, err := open(capacity, opts)
+		backend, err := b.Open(capacity, opts, 0)
 		if err != nil {
 			return nil, fmt.Errorf("clustersim: open instance %q: %w", name, err)
 		}
@@ -482,6 +408,7 @@ func (c *ClusterSim) Run(ctx context.Context, workloads []systems.Workload, owne
 		if err != nil {
 			return nil, fmt.Errorf("clustersim: finalize instance %s: %w", inst.name, err)
 		}
+		res.System = c.system
 		result.Instances = append(result.Instances, InstanceResult{
 			ID:         inst.id,
 			Name:       inst.name,

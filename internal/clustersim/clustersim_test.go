@@ -7,10 +7,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/job"
 	"repro/internal/policy"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/spot"
 	"repro/internal/systems"
@@ -208,7 +208,8 @@ func TestMockStudyDispatchSequences(t *testing.T) {
 // arrive in index order) reproduces N independent runs byte-identically.
 // The shared clock adds no drift.
 func TestFederationNoDriftInvariant(t *testing.T) {
-	for _, system := range []string{"DCS", "SSP", "DawningCloud", "DRP", spot.Name} {
+	for _, b := range registry.Default.Backends() {
+		system := b.Name
 		t.Run(system, func(t *testing.T) {
 			// First submissions strictly increase with index so the
 			// round-robin assignment (dispatch order) equals the owner
@@ -278,36 +279,20 @@ func TestFederationNoDriftInvariant(t *testing.T) {
 	}
 }
 
-// runIndependent runs one provider alone through the registered blocking
-// runner for the system.
+// runIndependent runs one provider alone through the system's
+// registered blocking runner.
 func runIndependent(t *testing.T, system string, wl systems.Workload, opts systems.Options) systems.Result {
 	t.Helper()
-	var (
-		res systems.Result
-		err error
-	)
-	ctx := context.Background()
-	wls := []systems.Workload{wl}
-	switch system {
-	case "DCS":
-		res, err = systems.RunDCS(ctx, wls, opts)
-	case "SSP":
-		res, err = systems.RunSSP(ctx, wls, opts)
-	case "DRP":
-		res, err = systems.RunDRP(ctx, wls, opts)
-	case "DawningCloud":
-		res, err = core.Run(ctx, wls, core.Config{Options: opts})
-	case spot.Name:
-		res, err = spot.Run(ctx, wls, opts)
-	default:
-		t.Fatalf("unknown system %s", system)
+	runner, _, err := registry.Default.Resolve(system)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := runner.Run(context.Background(), []systems.Workload{wl}, opts)
 	if err != nil {
 		t.Fatalf("independent %s run: %v", system, err)
 	}
 	return res
 }
-
 
 // TestClusterWindowEvents checks the per-window aggregates: indexes are
 // contiguous, bounds tile [0, horizon], dispatch counts are cumulative

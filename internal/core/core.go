@@ -16,19 +16,13 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/systems"
 	"repro/internal/tre"
 )
-
-// defaultPoolCapacity models the paper's "large cloud platform" when the
-// caller does not constrain the pool.
-const defaultPoolCapacity = 1 << 20
 
 // Config extends the shared run options with DawningCloud-specific knobs.
 type Config struct {
@@ -41,135 +35,61 @@ type Config struct {
 	StartDelay  sim.Time
 }
 
-// Run simulates DawningCloud over the given workloads and returns the
-// shared Result type for comparison with the baseline systems. The context
-// cancels the simulation mid-run; an aborted run returns ctx.Err().
-//
-// Run is safe to call from concurrent goroutines: every piece of mutable
-// state (engine, pool, accountant, provision service, servers) is
-// constructed per call, and workloads are only read — jobs are immutable
-// by contract (see job.Job). Callers that retune or resort workloads
-// between concurrent runs must pass clones (systems.CloneWorkloads).
+// Backend describes DawningCloud with cfg's DawningCloud-only knobs
+// (cfg.Options is ignored: every driver passes its own options to
+// Open). Its pool never rejects by default, so every dynamic grant
+// succeeds regardless of what other providers hold and partitions need
+// no gate.
+func Backend(cfg Config) systems.Backend {
+	return systems.Backend{
+		Name: "DawningCloud",
+		Open: func(capacity int, opts systems.Options, _ int) (systems.Instance, error) {
+			c := cfg
+			c.Options = opts
+			return Open(capacity, c)
+		},
+		DefaultCapacity: systems.Unbounded,
+	}
+}
+
+// Run simulates DawningCloud over the given workloads with cfg's knobs
+// and returns the shared Result type for comparison with the baseline
+// systems; see systems.Run.
 func Run(ctx context.Context, workloads []systems.Workload, cfg Config) (systems.Result, error) {
-	if err := systems.ValidateWorkloads(workloads); err != nil {
-		return systems.Result{}, err
-	}
-	// Partitioned path: with the default pool the cloud is never
-	// capacity-bound (defaultPoolCapacity's contract), so every dynamic
-	// grant succeeds regardless of what other providers hold —
-	// per-partition pools of the same capacity reproduce the serial run
-	// exactly. A caller-bounded pool couples providers through Free()
-	// and must stay serial.
-	if p := cfg.PartitionCount(len(workloads)); p > 1 && cfg.PoolCapacity == 0 {
-		return systems.RunPartitioned(ctx, workloads, cfg.Options, systems.PartitionSpec{
-			System: "DawningCloud",
-			Open: func(chunk []systems.Workload, first int, o systems.Options) (systems.PartitionInstance, error) {
-				c := cfg
-				c.Options = o
-				return Open(defaultPoolCapacity, c)
-			},
-		})
-	}
-	horizon := cfg.HorizonFor(workloads)
-	capacity := cfg.PoolCapacity
-	if capacity == 0 {
-		capacity = defaultPoolCapacity
-	}
-	inst, err := Open(capacity, cfg)
-	if err != nil {
-		return systems.Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return systems.Result{}, err
-		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return systems.Result{}, fmt.Errorf("core: DawningCloud run aborted: %w", err)
-	}
-	return inst.Finalize(horizon)
+	return systems.Run(ctx, Backend(cfg), workloads, cfg.Options)
 }
 
-// Instance is an open DawningCloud simulation that accepts provider
-// workloads incrementally: Open, Attach each provider while the virtual
-// clock has not passed its first submission, drive the engine
-// (RunContext, or the sim step primitives under a federated orchestrator
-// such as internal/clustersim), then Finalize to settle accounting and
-// assemble the Result.
+// Instance is an open DawningCloud simulation (see systems.Instance).
 type Instance struct {
+	systems.Platform
 	cfg       Config
-	engine    *sim.Engine
-	pool      *nodepool.Pool
-	acct      *metrics.Accountant
-	setup     float64
-	prov      *csf.ProvisionService
 	framework *csf.Framework
-	slots     []coreSlot
-	seen      map[string]bool
-}
-
-type coreSlot struct {
-	wl     *systems.Workload
-	server interface {
-		Submitted() int
-		CompletedBy(sim.Time) int
-		TasksPerSecond() float64
-	}
+	servers   systems.Servers
 }
 
 // Open opens an empty DawningCloud instance over a pool of capacity
-// nodes. Attached workloads must already be valid (the blocking Run
-// validates whole sets up front); capacity must be positive.
+// nodes (positive).
 func Open(capacity int, cfg Config) (*Instance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
+	p, err := systems.NewPlatform(capacity, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := cfg.SetupCost
-	if setup == 0 {
-		setup = csf.DefaultNodeSetupSeconds
-	}
-	prov := csf.NewProvisionService(pool, acct, cfg.Provision, setup)
-	framework := csf.NewFramework(engine, prov)
+	framework := csf.NewFramework(p.Engine(), p.Provision())
 	framework.DeployDelay = cfg.DeployDelay
 	framework.StartDelay = cfg.StartDelay
-	return &Instance{
-		cfg:       cfg,
-		engine:    engine,
-		pool:      pool,
-		acct:      acct,
-		setup:     setup,
-		prov:      prov,
-		framework: framework,
-		seen:      make(map[string]bool),
-	}, nil
+	return &Instance{Platform: p, cfg: cfg, framework: framework}, nil
 }
-
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *Instance) Engine() *sim.Engine { return x.engine }
-
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *Instance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
-}
-
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see systems.PartitionInstance).
-func (x *Instance) Accounting() *metrics.Accountant { return x.acct }
 
 // Attach admits one provider workload: its thin runtime environment is
 // created through the CSF lifecycle and its job arrivals are scheduled
 // on the instance clock.
 func (x *Instance) Attach(wl *systems.Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	switch wl.Class {
 	case job.HTC:
-		srv, err := tre.NewHTCServer(x.engine, x.prov, tre.Config{
+		srv, err := tre.NewHTCServer(x.Engine(), x.Provision(), tre.Config{
 			Name:         wl.Name,
 			Params:       wl.Params,
 			EasyBackfill: x.cfg.EasyBackfill,
@@ -177,12 +97,12 @@ func (x *Instance) Attach(wl *systems.Workload) error {
 		if err != nil {
 			return err
 		}
-		if err := createAndFeedHTC(x.engine, x.framework, srv, wl); err != nil {
+		if err := createAndFeedHTC(x.Engine(), x.framework, srv, wl); err != nil {
 			return err
 		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	case job.MTC:
-		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
+		srv, err := tre.NewMTCServer(x.Engine(), x.Provision(), tre.Config{
 			Name:                wl.Name,
 			Params:              wl.Params,
 			DestroyOnCompletion: true,
@@ -190,53 +110,26 @@ func (x *Instance) Attach(wl *systems.Workload) error {
 		if err != nil {
 			return err
 		}
-		if err := createAndFeedMTC(x.engine, x.framework, srv, wl); err != nil {
+		if err := createAndFeedMTC(x.Engine(), x.framework, srv, wl); err != nil {
 			return err
 		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	default:
 		return fmt.Errorf("core: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
-	x.seen[wl.Name] = true
 	return nil
 }
 
 // Finalize settles open leases at horizon and assembles the Result over
 // every attached workload, in attach order.
 func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
-	x.acct.CloseAll(horizon, true)
-	aggs := make([]systems.ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		a := systems.ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Submitted: s.server.Submitted(),
-			Completed: s.server.CompletedBy(horizon),
-			Adjusted:  -1,
-		}
-		if s.wl.Class == job.MTC {
-			a.TPS = s.server.TasksPerSecond()
-		}
-		aggs = append(aggs, a)
-	}
-	return systems.BuildResult("DawningCloud", horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs), nil
+	return x.Settle("DawningCloud", horizon, true, x.servers.Aggs(horizon, false)), nil
 }
 
 // Window snapshots every attached provider at virtual time t, for
 // per-window streamed reports; see systems.FixedInstance.Window.
 func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
-	aggs := make([]systems.ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		aggs = append(aggs, systems.ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Completed: s.server.CompletedBy(t),
-			Adjusted:  -1,
-		})
-	}
-	return systems.BuildWindow(x.acct, t, aggs)
+	return systems.BuildWindow(x.Accounting(), t, x.servers.Aggs(t, false))
 }
 
 // createTREAt issues the CSF create-and-start lifecycle for wl's thin
@@ -280,12 +173,12 @@ func createAndFeedMTC(engine *sim.Engine, fw *csf.Framework, srv *tre.MTCServer,
 // streaming contract (HTC jobs from src, MTC workloads as materialized
 // workflow actions, one shared feeder per instance).
 func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	switch wl.Class {
 	case job.HTC:
-		srv, err := tre.NewHTCServer(x.engine, x.prov, tre.Config{
+		srv, err := tre.NewHTCServer(x.Engine(), x.Provision(), tre.Config{
 			Name:         wl.Name,
 			Params:       wl.Params,
 			EasyBackfill: x.cfg.EasyBackfill,
@@ -297,17 +190,17 @@ func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stre
 			src = stream.FromJobs(wl.Jobs)
 		}
 		err = f.AddJobs(wl.Name, src,
-			func(first sim.Time) { createTREAt(x.engine, x.framework, wl.Name, "HTC", first, srv.Start) },
+			func(first sim.Time) { createTREAt(x.Engine(), x.framework, wl.Name, "HTC", first, srv.Start) },
 			func(j *job.Job) { srv.Submit(j) })
 		if err != nil {
 			return err
 		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	case job.MTC:
 		if src != nil {
 			return fmt.Errorf("core: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
 		}
-		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
+		srv, err := tre.NewMTCServer(x.Engine(), x.Provision(), tre.Config{
 			Name:                wl.Name,
 			Params:              wl.Params,
 			DestroyOnCompletion: true,
@@ -317,14 +210,13 @@ func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stre
 		}
 		actions := systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core")
 		err = f.AddActions(wl.Name, actions,
-			func(first sim.Time) { createTREAt(x.engine, x.framework, wl.Name, "MTC", first, srv.Start) })
+			func(first sim.Time) { createTREAt(x.Engine(), x.framework, wl.Name, "MTC", first, srv.Start) })
 		if err != nil {
 			return err
 		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	default:
 		return fmt.Errorf("core: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
-	x.seen[wl.Name] = true
 	return nil
 }

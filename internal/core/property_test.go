@@ -48,15 +48,15 @@ func TestPropertyCrossSystemInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		wl := randomHTCWorkload(seed)
 		opts := systems.Options{Horizon: horizon}
-		dcs, err := systems.RunDCS(context.Background(), []systems.Workload{wl}, opts)
+		dcs, err := systems.Run(context.Background(), systems.DCS, []systems.Workload{wl}, opts)
 		if err != nil {
 			return false
 		}
-		ssp, err := systems.RunSSP(context.Background(), []systems.Workload{wl}, opts)
+		ssp, err := systems.Run(context.Background(), systems.SSP, []systems.Workload{wl}, opts)
 		if err != nil {
 			return false
 		}
-		drp, err := systems.RunDRP(context.Background(), []systems.Workload{wl}, opts)
+		drp, err := systems.Run(context.Background(), systems.DRP, []systems.Workload{wl}, opts)
 		if err != nil {
 			return false
 		}
@@ -136,11 +136,11 @@ func TestPropertyDeterministicRuns(t *testing.T) {
 	f := func(seed int64) bool {
 		wl := randomHTCWorkload(seed)
 		opts := systems.Options{Horizon: 24 * 3600}
-		a, err := systems.RunDRP(context.Background(), []systems.Workload{wl}, opts)
+		a, err := systems.Run(context.Background(), systems.DRP, []systems.Workload{wl}, opts)
 		if err != nil {
 			return false
 		}
-		b, err := systems.RunDRP(context.Background(), []systems.Workload{wl}, opts)
+		b, err := systems.Run(context.Background(), systems.DRP, []systems.Workload{wl}, opts)
 		if err != nil {
 			return false
 		}

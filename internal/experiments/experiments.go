@@ -199,9 +199,8 @@ func (s *Suite) buildWorkloads() ([]systems.Workload, error) {
 }
 
 // SystemNames lists the four systems the paper compares, in presentation
-// order. The registry may hold more (registered extensions such as
-// ssp-spot); the paper's tables and figures only ever run these four.
-var SystemNames = []string{"DCS", "SSP", "DRP", "DawningCloud"}
+// order (registry.PaperSystems).
+var SystemNames = registry.PaperSystems()
 
 // Run simulates one system over the consolidated three-provider workload,
 // caching the result. See RunContext; Run uses the background context.

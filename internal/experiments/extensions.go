@@ -58,7 +58,7 @@ func (s *Suite) ScaleStudy(ctx context.Context, n int) ([]ScalePoint, error) {
 		var dcs, dsp systems.Result
 		runs := []func() error{
 			func() (err error) {
-				dcs, err = systems.RunDCS(ctx, systems.CloneWorkloads(workloads), opts)
+				dcs, err = systems.Run(ctx, systems.DCS, systems.CloneWorkloads(workloads), opts)
 				return err
 			},
 			func() (err error) {

@@ -19,8 +19,8 @@ import (
 //     context.TODO(): thread the caller's ctx instead. Commands
 //     (package main) own the process and are exempt, as are tests.
 //
-// Intentional API defaults (a Background fallback kept for a
-// deprecated entry point, an http.Server-style BaseContext field)
+// Intentional API defaults (a Background fallback behind a documented
+// non-ctx convenience wrapper, an http.Server-style BaseContext field)
 // carry a //dclint:allow ctxfirst annotation stating why.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",

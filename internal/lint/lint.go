@@ -26,10 +26,6 @@
 //     fields; and library code (anything outside package main and
 //     tests) must not mint context.Background()/context.TODO() but
 //     thread the caller's context.
-//   - deprecated: in-repo API marked "Deprecated:" may only be
-//     referenced from the compatibility shim (compat.go and
-//     compat_test.go). This replaces the shell-scripted SA1019 gate
-//     that used to live in CI.
 //
 // # Suppression
 //
@@ -75,7 +71,7 @@ type Analyzer struct {
 
 // All returns the full dclint suite in stable presentation order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Walltime, Mapiter, CtxFirst, Deprecated}
+	return []*Analyzer{Detrand, Walltime, Mapiter, CtxFirst}
 }
 
 // ByName resolves an analyzer by its directive name.
@@ -118,9 +114,6 @@ type Pass struct {
 	// packages use their path under testdata/src verbatim, so
 	// path-scoped analyzers behave identically under test.
 	RelPath string
-	// Deprecated indexes every "Deprecated:" declaration across the
-	// load set, keyed by objKey (see deprecated.go).
-	Deprecated map[string]bool
 
 	diags *[]Diagnostic
 }
@@ -154,21 +147,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if analyzers == nil {
 		analyzers = All()
 	}
-	deprecated := buildDeprecatedIndex(pkgs)
-
 	var raw []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:   a,
-				Fset:       pkg.Fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				Info:       pkg.Info,
-				Path:       pkg.Path,
-				RelPath:    pkg.RelPath,
-				Deprecated: deprecated,
-				diags:      &raw,
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				Path:     pkg.Path,
+				RelPath:  pkg.RelPath,
+				diags:    &raw,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

@@ -1,14 +1,21 @@
 // Package registry is the single name → system mapping of the
-// repository: a string-keyed, concurrency-safe registry of simulation
-// runners shared by the public Engine API, the experiment suite, the
-// declarative scenario engine and the CLIs.
+// repository: a string-keyed, concurrency-safe registry of systems
+// shared by the public Engine API, the experiment suite, the
+// declarative scenario engine, the streamed and federated drivers and
+// the CLIs.
+//
+// A system registers either as a systems.Backend (RegisterBackend) or
+// as a bare Runner (Register). A backend gets every driver: blocking
+// serial and partitioned runs through its derived Runner (systems.Run),
+// streamed runs (internal/streamrun) and federated runs
+// (internal/clustersim). A Runner-only system runs blocking only.
 //
 // The Default registry ships with the paper's four systems (DCS, SSP,
-// DRP, DawningCloud) registered in presentation order. New usage models
-// register themselves with Register — no switch statement or map literal
+// DRP, DawningCloud) registered as backends in presentation order. New
+// usage models register themselves — no switch statement or map literal
 // anywhere needs editing — and are immediately runnable by name from
 // Engine.Run, `dcsim -system`, and scenario spec files. See
-// internal/spot for a complete example (the "ssp-spot" variant).
+// internal/spot for a complete example (the "ssp-spot" backend).
 //
 // Names resolve case-insensitively ("dawningcloud" finds "DawningCloud")
 // but keep their registered canonical spelling in results and reports.
@@ -41,22 +48,26 @@ func (f Func) Run(ctx context.Context, workloads []systems.Workload, opts system
 	return f(ctx, workloads, opts)
 }
 
-// Registry maps system names to runners. The zero value is not usable;
-// construct with New. All methods are safe for concurrent use.
+// Registry maps system names to runners and backends. The zero value
+// is not usable; construct with New. All methods are safe for
+// concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
-	runners map[string]Runner // keyed by folded name
-	folded  map[string]string // folded name -> canonical spelling
-	order   []string          // canonical names in registration order
+	entries map[string]entry // keyed by folded name
+	order   []string         // canonical names in registration order
+}
+
+// entry is one registered system.
+type entry struct {
+	name    string // canonical spelling
+	runner  Runner
+	backend *systems.Backend // nil for a Runner-only system
 }
 
 // New returns an empty registry. Most callers want Default (the four
 // paper systems plus self-registered extensions) or Default.Snapshot().
 func New() *Registry {
-	return &Registry{
-		runners: make(map[string]Runner),
-		folded:  make(map[string]string),
-	}
+	return &Registry{entries: make(map[string]entry)}
 }
 
 // fold is the case-insensitive key for a system name.
@@ -74,6 +85,22 @@ func fold(name string) string { return strings.ToLower(name) }
 // normalized — the registry and the conventions dclint enforces must
 // agree on what a system is called.
 func (r *Registry) Register(name string, runner Runner) error {
+	return r.add(name, runner, nil)
+}
+
+// RegisterBackend adds the system b describes under b.Name, with
+// Register's naming rules. Its Runner is systems.Run over b.
+func (r *Registry) RegisterBackend(b systems.Backend) error {
+	if b.Open == nil || b.DefaultCapacity == nil {
+		return fmt.Errorf("registry: backend %q needs Open and DefaultCapacity", b.Name)
+	}
+	run := Func(func(ctx context.Context, workloads []systems.Workload, opts systems.Options) (systems.Result, error) {
+		return systems.Run(ctx, b, workloads, opts)
+	})
+	return r.add(b.Name, run, &b)
+}
+
+func (r *Registry) add(name string, runner Runner, backend *systems.Backend) error {
 	if strings.TrimSpace(name) == "" {
 		return fmt.Errorf("registry: empty system name")
 	}
@@ -86,11 +113,10 @@ func (r *Registry) Register(name string, runner Runner) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := fold(name)
-	if prev, ok := r.folded[key]; ok {
-		return fmt.Errorf("registry: system %q already registered (as %q)", name, prev)
+	if prev, ok := r.entries[key]; ok {
+		return fmt.Errorf("registry: system %q already registered (as %q)", name, prev.name)
 	}
-	r.runners[key] = runner
-	r.folded[key] = name
+	r.entries[key] = entry{name: name, runner: runner, backend: backend}
 	r.order = append(r.order, name)
 	return nil
 }
@@ -103,20 +129,27 @@ func (r *Registry) MustRegister(name string, runner Runner) {
 	}
 }
 
+// MustRegisterBackend is RegisterBackend, panicking on error.
+func (r *Registry) MustRegisterBackend(b systems.Backend) {
+	if err := r.RegisterBackend(b); err != nil {
+		panic(err)
+	}
+}
+
 // Lookup returns the runner registered under name (case-insensitive).
 func (r *Registry) Lookup(name string) (Runner, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	runner, ok := r.runners[fold(name)]
-	return runner, ok
+	e, ok := r.entries[fold(name)]
+	return e.runner, ok
 }
 
 // Canonical reports the registered spelling of name (case-insensitive).
 func (r *Registry) Canonical(name string) (string, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	canonical, ok := r.folded[fold(name)]
-	return canonical, ok
+	e, ok := r.entries[fold(name)]
+	return e.name, ok
 }
 
 // Resolve returns the runner and canonical name for name, or an error
@@ -125,13 +158,48 @@ func (r *Registry) Canonical(name string) (string, bool) {
 func (r *Registry) Resolve(name string) (Runner, string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	key := fold(name)
-	runner, ok := r.runners[key]
+	e, ok := r.entries[fold(name)]
 	if !ok {
 		return nil, "", fmt.Errorf("unknown system %q (registered: %s)",
 			name, strings.Join(r.order, ", "))
 	}
-	return runner, r.folded[key], nil
+	return e.runner, e.name, nil
+}
+
+// Backend returns the backend registered under name (case-insensitive).
+// Unknown names and Runner-only systems fail with the list of
+// registered backends — the one message the streamed and federated
+// drivers and the scenario validator share.
+func (r *Registry) Backend(name string) (systems.Backend, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if e, ok := r.entries[fold(name)]; ok && e.backend != nil {
+		return *e.backend, nil
+	}
+	var names []string
+	for _, b := range r.backends() {
+		names = append(names, b.Name)
+	}
+	return systems.Backend{}, fmt.Errorf("system %q has no registered backend, so it runs blocking only (supported: %s)",
+		name, strings.Join(names, ", "))
+}
+
+// Backends lists the registered backends in registration order.
+func (r *Registry) Backends() []systems.Backend {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.backends()
+}
+
+// backends is Backends for a caller holding mu.
+func (r *Registry) backends() []systems.Backend {
+	var out []systems.Backend
+	for _, n := range r.order {
+		if e := r.entries[fold(n)]; e.backend != nil {
+			out = append(out, *e.backend)
+		}
+	}
+	return out
 }
 
 // Names lists every registered system's canonical name in registration
@@ -154,9 +222,8 @@ func (r *Registry) Snapshot() *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := New()
-	for key, runner := range r.runners {
-		out.runners[key] = runner
-		out.folded[key] = r.folded[key]
+	for key, e := range r.entries {
+		out.entries[key] = e
 	}
 	out.order = append([]string(nil), r.order...)
 	return out
@@ -168,12 +235,24 @@ func (r *Registry) Snapshot() *Registry {
 // packages (internal/spot) add theirs from init.
 var Default = New()
 
+// paper holds the four systems the paper compares, in presentation
+// order.
+var paper = []systems.Backend{systems.DCS, systems.SSP, systems.DRP, core.Backend(core.Config{})}
+
 func init() {
-	Default.MustRegister("DCS", Func(systems.RunDCS))
-	Default.MustRegister("SSP", Func(systems.RunSSP))
-	Default.MustRegister("DRP", Func(systems.RunDRP))
-	Default.MustRegister("DawningCloud",
-		Func(func(ctx context.Context, wls []systems.Workload, opts systems.Options) (systems.Result, error) {
-			return core.Run(ctx, wls, core.Config{Options: opts})
-		}))
+	for _, b := range paper {
+		Default.MustRegisterBackend(b)
+	}
+}
+
+// PaperSystems lists the canonical names of the four systems the paper
+// compares, in presentation order. Default may hold more (registered
+// extensions such as ssp-spot); the paper's tables and figures only
+// ever run these four.
+func PaperSystems() []string {
+	names := make([]string, len(paper))
+	for i, b := range paper {
+		names[i] = b.Name
+	}
+	return names
 }

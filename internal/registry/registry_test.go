@@ -163,3 +163,33 @@ func TestRegisterRejectsNonCanonicalNames(t *testing.T) {
 		}
 	}
 }
+
+// TestBackendRegistration pins the two registration forms: a backend is
+// found by Backend and listed by Backends, a Runner-only system is not,
+// and the lookup error lists every registered backend.
+func TestBackendRegistration(t *testing.T) {
+	r := New()
+	r.MustRegister("runner-only", stubRunner("runner-only"))
+	copyDRP := systems.DRP
+	copyDRP.Name = "drp-copy"
+	r.MustRegisterBackend(copyDRP)
+	if err := r.RegisterBackend(systems.Backend{Name: "no-open"}); err == nil {
+		t.Error("backend without Open accepted")
+	}
+	if b, err := r.Backend("DRP-COPY"); err != nil || b.Name != "drp-copy" {
+		t.Errorf("Backend(DRP-COPY) = %q, %v", b.Name, err)
+	}
+	if _, err := r.Backend("runner-only"); err == nil || !strings.Contains(err.Error(), "(supported: drp-copy)") {
+		t.Errorf("Runner-only lookup: %v, want an error listing drp-copy", err)
+	}
+	if bs := r.Backends(); len(bs) != 1 || bs[0].Name != "drp-copy" {
+		t.Errorf("Backends() = %v", bs)
+	}
+	var names []string
+	for _, b := range Default.Backends() {
+		names = append(names, b.Name)
+	}
+	if want := PaperSystems(); len(names) < len(want) || !reflect.DeepEqual(names[:len(want)], want) {
+		t.Errorf("Default backends %v do not start with the paper systems %v", names, want)
+	}
+}

@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/registry"
+	"repro/internal/systems"
 )
 
 // parseErr runs a JSON spec through Parse and returns the error text.
@@ -70,6 +73,37 @@ func TestValidationFieldErrors(t *testing.T) {
 				t.Errorf("error %q does not name field %q", msg, tc.wantField)
 			}
 		})
+	}
+}
+
+// TestRunnerOnlySystemRunsBlockingOnly pins that a system registered
+// as a bare Runner has no backend: streamed and federated specs naming
+// it fail validation with the list of registered backends, while a
+// blocking spec accepts it.
+func TestRunnerOnlySystemRunsBlockingOnly(t *testing.T) {
+	const name = "blocking-only"
+	if !registry.Default.Has(name) {
+		registry.Default.MustRegister(name, registry.Func(
+			func(ctx context.Context, wls []systems.Workload, opts systems.Options) (systems.Result, error) {
+				return systems.Result{System: name}, nil
+			}))
+	}
+	const supported = "(supported: DCS, SSP, DRP, DawningCloud, ssp-spot)"
+	cases := []struct{ name, src, field string }{
+		{"streamed", `{"name":"x","systems":["blocking-only"],"stream":{"enabled":true},
+			"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}]}`, "systems[0]"},
+		{"federated", `{"name":"x","federation":{"system":"blocking-only"},
+			"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}]}`, "federation.system"},
+	}
+	for _, tc := range cases {
+		msg := parseErr(t, tc.src)
+		if !strings.Contains(msg, tc.field) || !strings.Contains(msg, supported) {
+			t.Errorf("%s: error %q, want field %s and %s", tc.name, msg, tc.field, supported)
+		}
+	}
+	if _, err := ParseBytes([]byte(`{"name":"x","systems":["blocking-only"],
+		"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}]}`)); err != nil {
+		t.Errorf("blocking spec rejected: %v", err)
 	}
 }
 

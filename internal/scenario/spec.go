@@ -28,7 +28,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/registry"
 	"repro/internal/sim"
-	"repro/internal/streamrun"
 
 	// Shipped registry extensions must be linked in so scenario specs can
 	// name them (ssp-spot) through any entry point, not only the CLIs.
@@ -126,8 +125,8 @@ type StreamSpec struct {
 // provider membership.
 type FederationSpec struct {
 	// System is the system every instance runs (federations are
-	// homogeneous); default DawningCloud. It must have federated
-	// instance support (clustersim.FederatedSystems).
+	// homogeneous); default DawningCloud. It must be a registered
+	// backend (registry.Registry.Backend).
 	System string `json:"system,omitempty"`
 	// Policy is the routing policy name from clustersim's registry
 	// (round-robin, least-loaded, cost-aware, spot-price-aware,
@@ -440,9 +439,8 @@ func (s *Spec) validateStream(fail func(string, string, ...any) error) error {
 	}
 	if st.Enabled {
 		for i, name := range s.Systems {
-			if !streamrun.Supported(name) {
-				return fail(fmt.Sprintf("systems[%d]", i), "system %q has no streamed attach surface (supported: %s)",
-					name, strings.Join(streamrun.Systems(), ", "))
+			if _, err := registry.Default.Backend(name); err != nil {
+				return fail(fmt.Sprintf("systems[%d]", i), "streamed run: %v", err)
 			}
 		}
 	}
@@ -455,9 +453,8 @@ func (s *Spec) validateFederation(fail func(string, string, ...any) error) error
 		return fail("federation.system", "unknown system %q (registered: %s)",
 			f.System, strings.Join(registry.Default.Names(), ", "))
 	}
-	if !clustersim.CanFederate(f.System) {
-		return fail("federation.system", "system %q has no federated instance support (supported: %s)",
-			f.System, strings.Join(clustersim.FederatedSystems(), ", "))
+	if _, err := registry.Default.Backend(f.System); err != nil {
+		return fail("federation.system", "federated run: %v", err)
 	}
 	if !clustersim.HasPolicy(f.Policy) {
 		return fail("federation.policy", "unknown routing policy %q (registered: %s)",

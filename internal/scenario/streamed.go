@@ -106,8 +106,8 @@ func newWindowEmitter(spec *Spec, opts systems.Options, sink events.Sink) *windo
 // event and run first at each boundary: the snapshot covers [start, end)
 // exactly, and since reporters only read, the simulation stays
 // byte-identical to the unobserved run.
-func (w *windowEmitter) observer(system, cellKey string) func(streamrun.Instance) {
-	return func(inst streamrun.Instance) {
+func (w *windowEmitter) observer(system, cellKey string) func(systems.Instance) {
+	return func(inst systems.Instance) {
 		for i, start := 0, sim.Time(0); start < w.horizon; i, start = i+1, start+w.window {
 			i, start := i, start
 			end := start + w.window

@@ -164,7 +164,7 @@ func TestLiveScenarioMatchesMaterialized(t *testing.T) {
 
 	wl := c.Workloads[0].Clone()
 	wl.Jobs = job.CloneAll(jobs)
-	want, err := systems.RunSSP(context.Background(), []systems.Workload{wl}, c.Options)
+	want, err := systems.Run(context.Background(), systems.SSP, []systems.Workload{wl}, c.Options)
 	if err != nil {
 		t.Fatal(err)
 	}

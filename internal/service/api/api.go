@@ -579,7 +579,8 @@ type taskResponse struct {
 // with Retry-After, and the accepted count in the body tells the client
 // where to resume. The explicit end-of-stream record {"end":true}
 // closes the lane(s); without it the run keeps waiting, since the
-// virtual clock cannot prove no earlier task is still coming.
+// virtual clock cannot prove no earlier task is still coming. A run that
+// is terminal, or turns terminal while the request is read, answers 409.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.eng.Handle(id); !ok {
@@ -611,7 +612,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		}
 		if rec.End {
 			if err := closeLanes(feed, rec.Workload); err != nil {
-				fail(http.StatusBadRequest, "record %d: %v", line, err)
+				fail(laneErrorCode(err), "record %d: %v", line, err)
 				return
 			}
 			continue
@@ -632,11 +633,21 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusServiceUnavailable, "record %d: %v", line, err)
 			return
 		default:
-			fail(http.StatusBadRequest, "record %d: %v", line, err)
+			fail(laneErrorCode(err), "record %d: %v", line, err)
 			return
 		}
 	}
 	writeJSON(w, http.StatusOK, taskResponse{Accepted: accepted, Closed: feed.Closed()})
+}
+
+// laneErrorCode maps a refused push or end record to its status: 409
+// when the run turned terminal after the feed was looked up (the same
+// answer a POST to a finished run gets), 400 for the record's own fault.
+func laneErrorCode(err error) int {
+	if errors.Is(err, dawningcloud.ErrRunTerminal) {
+		return http.StatusConflict
+	}
+	return http.StatusBadRequest
 }
 
 // closeLanes ends the named lane, or every lane when the end record

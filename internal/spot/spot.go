@@ -11,21 +11,20 @@
 // adjustments and the management overhead they imply.
 //
 // The package is also the registry's worked extensibility example: it
-// registers itself into registry.Default from init — no enum, switch or
-// map in the core packages mentions it — which makes it runnable by name
-// from Engine.Run, `dcsim -system ssp-spot` and scenario spec files.
+// registers its Backend into registry.Default from init — no enum,
+// switch or map in the core packages mentions it — which makes it
+// runnable by name through every driver: Engine.Run (serial and
+// partitioned), `dcsim -system ssp-spot`, and streamed and federated
+// scenario specs.
 package spot
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -51,7 +50,7 @@ const (
 )
 
 func init() {
-	registry.Default.MustRegister(Name, registry.Func(Run))
+	registry.Default.MustRegisterBackend(Backend)
 }
 
 // PriceWalk is the spot market's hourly price process — the
@@ -90,118 +89,52 @@ func (w *PriceWalk) Tick() float64 {
 // spot-price-aware routing policy compares prices against.
 func Bid() float64 { return bidPrice }
 
-// Run simulates the spot-priced SSP system. opts.Seed drives the price
-// process, so runs are reproducible given identical inputs. The context
-// cancels the simulation mid-run; an aborted run returns ctx.Err().
-func Run(ctx context.Context, workloads []systems.Workload, opts systems.Options) (systems.Result, error) {
-	if err := systems.ValidateWorkloads(workloads); err != nil {
-		return systems.Result{}, err
-	}
-	// Partitioned path: each spot provider only ever leases its own
-	// cluster (<= its FixedNodes), so with the derived capacity (sum of
-	// FixedNodes) every acquire succeeds in serial and partitioned runs
-	// alike. The chunk's options seed is shifted so each workload's
-	// price walk keeps its serial seed (opts.Seed + i*7919 + 1 for the
-	// i-th workload of the whole run; see Instance).
-	if p := opts.PartitionCount(len(workloads)); p > 1 && opts.PoolCapacity == 0 {
-		return systems.RunPartitioned(ctx, workloads, opts, systems.PartitionSpec{
-			System: Name,
-			Open: func(chunk []systems.Workload, first int, o systems.Options) (systems.PartitionInstance, error) {
-				capacity := 0
-				for i := range chunk {
-					capacity += chunk[i].FixedNodes
-				}
-				o.Seed += int64(first) * 7919
-				return Open(capacity, o)
-			},
-		})
-	}
-	horizon := opts.HorizonFor(workloads)
-	capacity := opts.PoolCapacity
-	if capacity == 0 {
-		for i := range workloads {
-			capacity += workloads[i].FixedNodes
-		}
-	}
-	inst, err := Open(capacity, opts)
-	if err != nil {
-		return systems.Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return systems.Result{}, err
-		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return systems.Result{}, fmt.Errorf("spot: %s run aborted: %w", Name, err)
-	}
-	return inst.Finalize(horizon)
+// Backend describes ssp-spot. opts.Seed drives the price process, so
+// runs are reproducible given identical inputs. Each spot provider only
+// ever leases its own cluster (<= its FixedNodes), so with the default
+// capacity (sum of FixedNodes) every acquire succeeds in serial and
+// partitioned runs alike. A partition's chunk shifts its seed so each
+// workload's price walk keeps its serial seed (opts.Seed + i*7919 + 1
+// for the i-th workload of the whole run; see Instance).
+var Backend = systems.Backend{
+	Name: Name,
+	Open: func(capacity int, opts systems.Options, first int) (systems.Instance, error) {
+		opts.Seed += int64(first) * 7919
+		return Open(capacity, opts)
+	},
+	DefaultCapacity: systems.SumFixedNodes,
 }
 
-// Instance is an open ssp-spot simulation that accepts provider
-// workloads incrementally; see systems.FixedInstance for the
-// open/attach/finalize lifecycle it shares. The i-th attached workload's
-// price process is seeded opts.Seed + i*7919 + 1 — a pure function of
-// the instance's own seed and membership order, so a federated
-// instance's results do not depend on how many sibling instances exist
-// or how their events interleave.
+// Instance is an open ssp-spot simulation (see systems.Instance). The
+// i-th attached workload's price process is seeded opts.Seed + i*7919 +
+// 1 — a pure function of the instance's own seed and membership order,
+// so a federated instance's results do not depend on how many sibling
+// instances exist or how their events interleave.
 type Instance struct {
+	systems.Platform
 	opts      systems.Options
-	engine    *sim.Engine
-	pool      *nodepool.Pool
-	acct      *metrics.Accountant
-	setup     float64
-	prov      *csf.ProvisionService
 	providers []*spotProvider
-	seen      map[string]bool
 }
 
-// Open opens an empty ssp-spot instance over a pool of capacity nodes.
-// Attached workloads must already be valid; capacity must be positive.
+// Open opens an empty ssp-spot instance over a pool of capacity nodes
+// (positive).
 func Open(capacity int, opts systems.Options) (*Instance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
+	p, err := systems.NewPlatform(capacity, opts)
 	if err != nil {
 		return nil, err
 	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := opts.SetupCost
-	if setup == 0 {
-		setup = csf.DefaultNodeSetupSeconds
-	}
-	return &Instance{
-		opts:   opts,
-		engine: engine,
-		pool:   pool,
-		acct:   acct,
-		setup:  setup,
-		prov:   csf.NewProvisionService(pool, acct, opts.Provision, setup),
-		seen:   make(map[string]bool),
-	}, nil
+	return &Instance{Platform: p, opts: opts}, nil
 }
-
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *Instance) Engine() *sim.Engine { return x.engine }
-
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *Instance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
-}
-
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see systems.PartitionInstance).
-func (x *Instance) Accounting() *metrics.Accountant { return x.acct }
 
 // Attach admits one provider workload: its spot cluster, market ticks
 // and job arrivals are scheduled on the instance clock.
 func (x *Instance) Attach(wl *systems.Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	p := &spotProvider{
-		engine:  x.engine,
-		prov:    x.prov,
+		engine:  x.Engine(),
+		prov:    x.Provision(),
 		wl:      wl,
 		size:    wl.FixedNodes,
 		walk:    NewPriceWalk(x.opts.Seed + int64(len(x.providers))*7919 + 1),
@@ -211,7 +144,6 @@ func (x *Instance) Attach(wl *systems.Workload) error {
 		return fmt.Errorf("spot: workload %s: %w", wl.Name, err)
 	}
 	x.providers = append(x.providers, p)
-	x.seen[wl.Name] = true
 	return nil
 }
 
@@ -220,12 +152,12 @@ func (x *Instance) Attach(wl *systems.Workload) error {
 // streaming contract. The provider's price walk keeps its attach-order
 // seed, so streamed and materialized runs see identical markets.
 func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	p := &spotProvider{
-		engine:  x.engine,
-		prov:    x.prov,
+		engine:  x.Engine(),
+		prov:    x.Provision(),
 		wl:      wl,
 		size:    wl.FixedNodes,
 		walk:    NewPriceWalk(x.opts.Seed + int64(len(x.providers))*7919 + 1),
@@ -233,9 +165,9 @@ func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stre
 	}
 	acquire := func(first sim.Time) {
 		p.firstSubmit = first
-		x.engine.At(first, func() {
+		x.Engine().At(first, func() {
 			p.tryAcquire()
-			p.stopTick = x.engine.Every(sim.Hour, p.tick)
+			p.stopTick = x.Engine().Every(sim.Hour, p.tick)
 		})
 	}
 	switch wl.Class {
@@ -263,14 +195,12 @@ func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stre
 		return fmt.Errorf("spot: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
 	x.providers = append(x.providers, p)
-	x.seen[wl.Name] = true
 	return nil
 }
 
 // Finalize settles open leases at horizon and assembles the Result over
 // every attached workload, in attach order.
 func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
-	x.acct.CloseAll(horizon, true)
 	aggs := make([]systems.ProviderAgg, 0, len(x.providers))
 	for _, p := range x.providers {
 		a := systems.ProviderAgg{
@@ -288,7 +218,7 @@ func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
 		}
 		aggs = append(aggs, a)
 	}
-	return systems.BuildResult(Name, horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs), nil
+	return x.Settle(Name, horizon, true, aggs), nil
 }
 
 // Window snapshots every attached provider at virtual time t, for
@@ -306,7 +236,7 @@ func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
 			Adjusted:  -1,
 		})
 	}
-	return systems.BuildWindow(x.acct, t, aggs)
+	return systems.BuildWindow(x.Accounting(), t, aggs)
 }
 
 // runningTask tracks one dispatched job so an interruption can cancel its

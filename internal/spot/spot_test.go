@@ -68,7 +68,7 @@ func TestRegisteredInDefaultRegistry(t *testing.T) {
 }
 
 func TestRunCompletesHTCWork(t *testing.T) {
-	res, err := Run(context.Background(), []systems.Workload{htcWorkload()}, systems.Options{
+	res, err := systems.Run(context.Background(), Backend, []systems.Workload{htcWorkload()}, systems.Options{
 		Horizon: 7 * sim.Day, Seed: 42,
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestRunCompletesHTCWork(t *testing.T) {
 }
 
 func TestRunCompletesMTCWorkflows(t *testing.T) {
-	res, err := Run(context.Background(), []systems.Workload{mtcWorkload()}, systems.Options{
+	res, err := systems.Run(context.Background(), Backend, []systems.Workload{mtcWorkload()}, systems.Options{
 		Horizon: 2 * sim.Day, Seed: 5,
 	})
 	if err != nil {
@@ -119,11 +119,11 @@ func TestRunCompletesMTCWorkflows(t *testing.T) {
 
 func TestDeterministicPerSeedAndSensitiveToSeed(t *testing.T) {
 	opts := systems.Options{Horizon: 14 * sim.Day, Seed: 11}
-	a, err := Run(context.Background(), []systems.Workload{htcWorkload()}, opts)
+	a, err := systems.Run(context.Background(), Backend, []systems.Workload{htcWorkload()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), []systems.Workload{htcWorkload()}, opts)
+	b, err := systems.Run(context.Background(), Backend, []systems.Workload{htcWorkload()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDeterministicPerSeedAndSensitiveToSeed(t *testing.T) {
 	// (different price paths). Check a few seeds to avoid flakiness.
 	varied := false
 	for seed := int64(12); seed < 17; seed++ {
-		c, err := Run(context.Background(), []systems.Workload{htcWorkload()},
+		c, err := systems.Run(context.Background(), Backend, []systems.Workload{htcWorkload()},
 			systems.Options{Horizon: 14 * sim.Day, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -154,13 +154,13 @@ func TestInterruptionsCostAdjustmentsVersusSSP(t *testing.T) {
 	// interruption, visible as more node adjustments than plain SSP's
 	// startup/teardown pair.
 	wl := htcWorkload()
-	ssp, err := systems.RunSSP(context.Background(), []systems.Workload{wl.Clone()}, systems.Options{Horizon: 14 * sim.Day})
+	ssp, err := systems.Run(context.Background(), systems.SSP, []systems.Workload{wl.Clone()}, systems.Options{Horizon: 14 * sim.Day})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sawInterruption := false
 	for seed := int64(1); seed <= 8 && !sawInterruption; seed++ {
-		res, err := Run(context.Background(), []systems.Workload{wl.Clone()},
+		res, err := systems.Run(context.Background(), Backend, []systems.Workload{wl.Clone()},
 			systems.Options{Horizon: 14 * sim.Day, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestInterruptionsCostAdjustmentsVersusSSP(t *testing.T) {
 func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, []systems.Workload{htcWorkload()}, systems.Options{Horizon: 14 * sim.Day})
+	_, err := systems.Run(ctx, Backend, []systems.Workload{htcWorkload()}, systems.Options{Horizon: 14 * sim.Day})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -186,7 +186,7 @@ func TestRunHonorsCancellation(t *testing.T) {
 func TestValidatesWorkloads(t *testing.T) {
 	bad := htcWorkload()
 	bad.Name = ""
-	if _, err := Run(context.Background(), []systems.Workload{bad}, systems.Options{}); err == nil {
+	if _, err := systems.Run(context.Background(), Backend, []systems.Workload{bad}, systems.Options{}); err == nil {
 		t.Error("invalid workload accepted")
 	}
 }

@@ -64,11 +64,11 @@ func NewLiveSource(buffer, fixedNodes int) *LiveSource {
 // admit validates a record on the producer side, so ingestion errors
 // surface synchronously to the client instead of killing the run.
 func (s *LiveSource) admit(j *job.Job) error {
-	if s.closed {
-		return ErrClosed
-	}
 	if s.failed {
 		return s.failErr
+	}
+	if s.closed {
+		return ErrClosed
 	}
 	if err := validate(j, s.lastSubmit, s.seeded); err != nil {
 		return err
@@ -80,7 +80,8 @@ func (s *LiveSource) admit(j *job.Job) error {
 }
 
 // TryPush appends one job without blocking: ErrFull when the buffer is
-// full, ErrClosed after Close, a validation error for bad records.
+// full, the failure error after Fail, ErrClosed after Close, a
+// validation error for bad records.
 func (s *LiveSource) TryPush(j job.Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -121,10 +122,14 @@ func (s *LiveSource) Push(ctx context.Context, j job.Job) error {
 }
 
 // Close marks the end of the stream: buffered jobs still drain, then
-// Next returns io.EOF. Closing twice is an error.
+// Next returns io.EOF. Closing twice is an error, and so is closing a
+// failed source (its failure error).
 func (s *LiveSource) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed {
+		return s.failErr
+	}
 	if s.closed {
 		return ErrClosed
 	}

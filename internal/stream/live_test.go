@@ -43,7 +43,8 @@ func TestLiveSourceFullAndClosed(t *testing.T) {
 
 // TestLiveSourceFailDropsBuffered pins that a failed source hands out no
 // buffered job, whether or not its end record arrived first: a cancelled
-// lane must stop feeding its run.
+// lane must stop feeding its run. Producers learn of the failure too:
+// pushes and end records get the first Fail's error.
 func TestLiveSourceFailDropsBuffered(t *testing.T) {
 	for _, closeFirst := range []bool{false, true} {
 		s := NewLiveSource(0, 8)
@@ -65,6 +66,12 @@ func TestLiveSourceFailDropsBuffered(t *testing.T) {
 				t.Fatalf("close first %v: Next #%d after Fail = job %d, %v; want the first Fail's error",
 					closeFirst, i+1, j.ID, err)
 			}
+		}
+		if err := s.TryPush(liveJob(11)); err != cancelled {
+			t.Errorf("close first %v: push after Fail = %v, want the first Fail's error", closeFirst, err)
+		}
+		if err := s.Close(); err != cancelled {
+			t.Errorf("close first %v: Close after Fail = %v, want the first Fail's error", closeFirst, err)
 		}
 	}
 }

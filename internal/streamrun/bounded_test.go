@@ -66,7 +66,7 @@ func TestMillionTaskBoundedMemory(t *testing.T) {
 	wlMat := wl
 	wlMat.Jobs = jobs
 	t0 := time.Now()
-	want, err := systems.RunSSP(context.Background(), []systems.Workload{wlMat}, opts)
+	want, err := systems.Run(context.Background(), systems.SSP, []systems.Workload{wlMat}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

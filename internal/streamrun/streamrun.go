@@ -1,60 +1,24 @@
-// Package streamrun opens any of the five built-in systems for a
-// streamed run: one instance, one shared stream.Feeder, per-workload
-// sources. It is the bridge between the scenario/service layers and the
-// per-system AttachStream implementations, and carries the invariant
-// they share: a streamed run drained within its horizon is byte-identical
-// to the materialized run of the same jobs (see internal/stream).
+// Package streamrun opens any registered backend for a streamed run:
+// one instance, one shared stream.Feeder, per-workload sources. It is
+// the bridge between the scenario/service layers and the per-system
+// AttachStream implementations, and carries the invariant they share: a
+// streamed run drained within its horizon is byte-identical to the
+// materialized run of the same jobs (see internal/stream).
 package streamrun
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/spot"
+	"repro/internal/registry"
 	"repro/internal/stream"
 	"repro/internal/systems"
 )
 
-// unboundedPoolCapacity mirrors the "large cloud platform" default the
-// blocking DRP and DawningCloud runners use when no capacity is given.
-const unboundedPoolCapacity = 1 << 20
-
-// Instance is the shared open-instance surface of the five systems.
-type Instance interface {
-	Engine() *sim.Engine
-	AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error
-	Accounting() *metrics.Accountant
-	// Window snapshots every attached provider at virtual time t (call
-	// from an event on the instance clock at t); the incremental
-	// per-window reports read it.
-	Window(t sim.Time) []systems.ProviderWindow
-	Finalize(horizon sim.Time) (systems.Result, error)
-}
-
-// Systems lists the systems with a streamed attach surface, in the
-// paper's presentation order.
-func Systems() []string {
-	return []string{"DCS", "SSP", "DRP", "DawningCloud", spot.Name}
-}
-
-// Supported reports whether system can run streamed.
-func Supported(system string) bool {
-	for _, s := range Systems() {
-		if s == system {
-			return true
-		}
-	}
-	return false
-}
-
 // Spec describes one streamed run.
 type Spec struct {
-	// System names one of the built-in systems (DCS, SSP, DRP,
-	// DawningCloud, ssp-spot). Custom registry systems have no streamed
-	// attach surface and are rejected.
+	// System names a backend registered in registry.Default;
+	// Runner-only systems are rejected.
 	System string
 	// Workloads carries provider metadata in attach order. MTC
 	// workloads keep their materialized job slices (whole workflows are
@@ -66,25 +30,30 @@ type Spec struct {
 	// Options are the shared run options; Horizon must be positive (a
 	// streamed run cannot derive it from jobs it has not seen).
 	Options systems.Options
-	// Core carries DawningCloud-only knobs; its Options field is
-	// overwritten from Options.
-	Core core.Config
 	// Feeder tunes the refill rounds.
 	Feeder stream.Options
 	// Observe, if non-nil, runs after every workload is attached and
 	// before the feeder starts — the place to schedule read-only
 	// observers (per-window reporters) on the instance clock.
-	Observe func(inst Instance)
+	Observe func(inst systems.Instance)
 }
 
 // Open creates the system instance, attaches every workload to one
 // shared feeder and starts it. The caller drives the engine and then
 // calls Finalize; Feeder.Err must be checked after the run.
-func Open(spec Spec) (Instance, *stream.Feeder, error) {
+func Open(spec Spec) (systems.Instance, *stream.Feeder, error) {
 	if spec.Options.Horizon <= 0 {
 		return nil, nil, fmt.Errorf("streamrun: %s: options.Horizon must be positive for streamed runs", spec.System)
 	}
-	inst, err := open(spec)
+	b, err := registry.Default.Backend(spec.System)
+	if err != nil {
+		return nil, nil, fmt.Errorf("streamrun: %w", err)
+	}
+	capacity := spec.Options.PoolCapacity
+	if capacity == 0 {
+		capacity = b.DefaultCapacity(spec.Workloads)
+	}
+	inst, err := b.Open(capacity, spec.Options, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,42 +73,6 @@ func Open(spec Spec) (Instance, *stream.Feeder, error) {
 	return inst, f, nil
 }
 
-// open dispatches on the system name with the same capacity derivation
-// as the blocking runners.
-func open(spec Spec) (Instance, error) {
-	capacity := spec.Options.PoolCapacity
-	sumFixed := 0
-	for i := range spec.Workloads {
-		sumFixed += spec.Workloads[i].FixedNodes
-	}
-	switch spec.System {
-	case "DCS", "SSP":
-		if capacity == 0 {
-			capacity = sumFixed
-		}
-		return systems.OpenFixed(spec.System, spec.System == "DCS", capacity, spec.Options)
-	case "DRP":
-		if capacity == 0 {
-			capacity = unboundedPoolCapacity
-		}
-		return systems.OpenDRP(capacity, spec.Options)
-	case "DawningCloud":
-		if capacity == 0 {
-			capacity = unboundedPoolCapacity
-		}
-		cfg := spec.Core
-		cfg.Options = spec.Options
-		return core.Open(capacity, cfg)
-	case spot.Name:
-		if capacity == 0 {
-			capacity = sumFixed
-		}
-		return spot.Open(capacity, spec.Options)
-	default:
-		return nil, fmt.Errorf("streamrun: system %q has no streamed attach surface", spec.System)
-	}
-}
-
 // Run drives a streamed run to its horizon and finalizes the result.
 // The context cancels the simulation between events; producers of live
 // sources must additionally Fail them on cancellation, since a feeder
@@ -155,5 +88,10 @@ func Run(ctx context.Context, spec Spec) (systems.Result, error) {
 	if err := f.Err(); err != nil {
 		return systems.Result{}, fmt.Errorf("streamrun: %s feed failed: %w", spec.System, err)
 	}
-	return inst.Finalize(spec.Options.Horizon)
+	res, err := inst.Finalize(spec.Options.Horizon)
+	if err != nil {
+		return systems.Result{}, err
+	}
+	res.System, _ = registry.Default.Canonical(spec.System)
+	return res, nil
 }

@@ -1,117 +1,50 @@
 package systems
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
 
-// defaultDRPPoolCapacity stands in for the paper's "large cloud platform"
-// when no capacity is given: DRP's uncoordinated leasing must never be
-// capacity-bound in the reference experiments.
-const defaultDRPPoolCapacity = 1 << 20
-
-// RunDRP simulates the direct resource provision model (Deelman et al.):
-// every end user leases virtual machines straight from the resource
-// provider for exactly one job, with no runtime environment, no queuing and
-// hourly billing. MTC workflows execute with unbounded parallelism, reusing
-// a leased node for sequential tasks and releasing everything at the end.
-// The context cancels the simulation mid-run; an aborted run returns
-// ctx.Err().
-func RunDRP(ctx context.Context, workloads []Workload, opts Options) (Result, error) {
-	if err := ValidateWorkloads(workloads); err != nil {
-		return Result{}, err
-	}
-	// Partitioned path: with the default pool the cloud is never
-	// capacity-bound (that is defaultDRPPoolCapacity's contract), so
-	// leases are independent per end user and per-partition pools of the
-	// same capacity reproduce the serial run exactly. A caller-bounded
-	// pool couples providers through Free() and must stay serial.
-	if p := opts.PartitionCount(len(workloads)); p > 1 && opts.PoolCapacity == 0 {
-		return RunPartitioned(ctx, workloads, opts, PartitionSpec{
-			System: "DRP",
-			Open: func(chunk []Workload, first int, o Options) (PartitionInstance, error) {
-				return OpenDRP(defaultDRPPoolCapacity, o)
-			},
-		})
-	}
-	horizon := opts.HorizonFor(workloads)
-	capacity := opts.PoolCapacity
-	if capacity == 0 {
-		capacity = defaultDRPPoolCapacity
-	}
-	inst, err := OpenDRP(capacity, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return Result{}, fmt.Errorf("systems: DRP run aborted: %w", err)
-	}
-	return inst.Finalize(horizon)
+// DRP is the direct resource provision model (Deelman et al.): every
+// end user leases virtual machines straight from the resource provider
+// for exactly one job, with no runtime environment, no queuing and
+// hourly billing. MTC workflows execute with unbounded parallelism,
+// reusing a leased node for sequential tasks and releasing everything at
+// the end. On the default pool the cloud is never capacity-bound, so
+// leases are independent per end user and partitions need no gate.
+var DRP = Backend{
+	Name: "DRP",
+	Open: func(capacity int, opts Options, _ int) (Instance, error) {
+		return OpenDRP(capacity, opts)
+	},
+	DefaultCapacity: Unbounded,
 }
 
-// DRPInstance is an open direct-resource-provision simulation that
-// accepts provider workloads incrementally; see FixedInstance for the
-// open/attach/finalize lifecycle it shares.
+// DRPInstance is an open direct-resource-provision simulation (see
+// Instance).
 type DRPInstance struct {
-	engine  *sim.Engine
-	pool    *nodepool.Pool
-	acct    *metrics.Accountant
-	setup   float64
-	prov    *csf.ProvisionService
+	Platform
 	runners []func() ProviderAgg
-	seen    map[string]bool
 }
 
 // OpenDRP opens an empty DRP instance over a pool of capacity nodes.
-// Attached workloads must already be valid; see OpenFixed.
 func OpenDRP(capacity int, opts Options) (*DRPInstance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
+	p, err := NewPlatform(capacity, opts)
 	if err != nil {
 		return nil, err
 	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := setupCostOr(opts, csf.DefaultNodeSetupSeconds)
-	return &DRPInstance{
-		engine: engine,
-		pool:   pool,
-		acct:   acct,
-		setup:  setup,
-		prov:   csf.NewProvisionService(pool, acct, opts.Provision, setup),
-		seen:   make(map[string]bool),
-	}, nil
+	return &DRPInstance{Platform: p}, nil
 }
-
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *DRPInstance) Engine() *sim.Engine { return x.engine }
-
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *DRPInstance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
-}
-
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see PartitionInstance).
-func (x *DRPInstance) Accounting() *metrics.Accountant { return x.acct }
 
 // Attach admits one provider workload, scheduling its end users' leases
 // on the instance clock.
 func (x *DRPInstance) Attach(wl *Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	switch wl.Class {
 	case job.HTC:
@@ -121,19 +54,13 @@ func (x *DRPInstance) Attach(wl *Workload) error {
 	default:
 		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
-	x.seen[wl.Name] = true
 	return nil
 }
 
 // Finalize settles open leases at horizon and assembles the Result over
 // every attached workload, in attach order.
 func (x *DRPInstance) Finalize(horizon sim.Time) (Result, error) {
-	x.acct.CloseAll(horizon, true)
-	aggs := make([]ProviderAgg, 0, len(x.runners))
-	for _, collect := range x.runners {
-		aggs = append(aggs, collect())
-	}
-	return BuildResult("DRP", horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs), nil
+	return x.Settle("DRP", horizon, true, x.aggs()), nil
 }
 
 // Window snapshots every attached provider at virtual time t, for
@@ -141,11 +68,16 @@ func (x *DRPInstance) Finalize(horizon sim.Time) (Result, error) {
 // read live counters, so "completed" means completed by t when the call
 // comes from an event at t.
 func (x *DRPInstance) Window(t sim.Time) []ProviderWindow {
+	return BuildWindow(x.acct, t, x.aggs())
+}
+
+// aggs collects every attached provider's aggregate, in attach order.
+func (x *DRPInstance) aggs() []ProviderAgg {
 	aggs := make([]ProviderAgg, 0, len(x.runners))
 	for _, collect := range x.runners {
 		aggs = append(aggs, collect())
 	}
-	return BuildWindow(x.acct, t, aggs)
+	return aggs
 }
 
 // drpLease is one end user's whole-job lease: submit acquires, the same

@@ -1,13 +1,9 @@
 package systems
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/nodepool"
-	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tre"
 )
@@ -16,145 +12,67 @@ import (
 // for fixed-size runtime environments.
 const neverRatio = 1e18
 
-// RunDCS simulates the dedicated cluster system model: every service
-// provider owns a fixed-size cluster sized by FixedNodes, with the same
-// queueing behaviour as SSP. Consumption is size x period; no adjustments
-// are counted because the provider owns the machines. The context cancels
-// the simulation mid-run; an aborted run returns ctx.Err().
-func RunDCS(ctx context.Context, workloads []Workload, opts Options) (Result, error) {
-	return runFixed(ctx, "DCS", true, workloads, opts)
+// DCS is the dedicated cluster system model: every service provider
+// owns a fixed-size cluster sized by FixedNodes, with the same queueing
+// behaviour as SSP. Consumption is size x period; no adjustments are
+// counted because the provider owns the machines.
+var DCS = fixedBackend("DCS", true)
+
+// SSP is the static service provision model (Evangelinos et al.): each
+// provider leases a fixed-size virtual cluster from the cloud for the
+// whole period and runs a queuing system on it. Performance matches DCS
+// by construction; only ownership (TCO, adjustments) differs.
+var SSP = fixedBackend("SSP", false)
+
+// fixedBackend describes the DCS/SSP emulated system of Figure 8:
+// per-provider servers and schedulers with fixed resources and no
+// resource provision service interaction after startup. The pool holds
+// every RE at once; providers couple only through it, and with that
+// capacity plus every MTC job fitting its own RE, no provider ever
+// observes another's free capacity — per-partition pools sized the same
+// way behave identically.
+func fixedBackend(system string, owned bool) Backend {
+	return Backend{
+		Name: system,
+		Open: func(capacity int, opts Options, _ int) (Instance, error) {
+			return OpenFixed(system, owned, capacity, opts)
+		},
+		DefaultCapacity: SumFixedNodes,
+		Gate: func(workloads []Workload) string {
+			if !mtcFitsFixed(workloads) {
+				return "an MTC job is wider than its runtime environment"
+			}
+			return ""
+		},
+	}
 }
 
-// RunSSP simulates the static service provision model (Evangelinos et al.):
-// each provider leases a fixed-size virtual cluster from the cloud for the
-// whole period and runs a queuing system on it. Performance matches DCS by
-// construction; only ownership (TCO, adjustments) differs. The context
-// cancels the simulation mid-run; an aborted run returns ctx.Err().
-func RunSSP(ctx context.Context, workloads []Workload, opts Options) (Result, error) {
-	return runFixed(ctx, "SSP", false, workloads, opts)
-}
-
-// runFixed drives the DCS/SSP emulated system of Figure 8: per-provider
-// servers and schedulers with fixed resources and no resource provision
-// service interaction after startup. It is the blocking wrapper over the
-// open/attach/finalize instance API below.
-func runFixed(ctx context.Context, system string, owned bool, workloads []Workload, opts Options) (Result, error) {
-	if err := ValidateWorkloads(workloads); err != nil {
-		return Result{}, err
-	}
-	// Partitioned path: providers only couple through the shared pool,
-	// and with the derived capacity (sum of FixedNodes) plus every MTC
-	// job fitting its own RE, no provider ever observes another's free
-	// capacity — per-partition pools sized the same way behave
-	// identically, so the merged run is byte-identical to serial.
-	if p := opts.PartitionCount(len(workloads)); p > 1 && opts.PoolCapacity == 0 && mtcFitsFixed(workloads) {
-		return RunPartitioned(ctx, workloads, opts, PartitionSpec{
-			System: system,
-			Owned:  owned,
-			Open: func(chunk []Workload, first int, o Options) (PartitionInstance, error) {
-				capacity := 0
-				for i := range chunk {
-					capacity += chunk[i].FixedNodes
-				}
-				return OpenFixed(system, owned, capacity, o)
-			},
-		})
-	}
-	horizon := opts.HorizonFor(workloads)
-	capacity := opts.PoolCapacity
-	if capacity == 0 {
-		for i := range workloads {
-			capacity += workloads[i].FixedNodes
-		}
-	}
-	inst, err := OpenFixed(system, owned, capacity, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return Result{}, fmt.Errorf("systems: %s run aborted: %w", system, err)
-	}
-	return inst.Finalize(horizon)
-}
-
-// FixedInstance is an open DCS/SSP simulation that accepts provider
-// workloads incrementally: OpenFixed, Attach each provider while the
-// virtual clock has not passed its first submission, drive the engine
-// (RunContext, or the sim step primitives under a federated
-// orchestrator such as internal/clustersim), then Finalize to settle
-// accounting and assemble the Result.
+// FixedInstance is an open DCS/SSP simulation (see Instance).
 type FixedInstance struct {
-	system string
-	owned  bool
-	opts   Options
-	engine *sim.Engine
-	pool   *nodepool.Pool
-	acct   *metrics.Accountant
-	setup  float64
-	prov   *csf.ProvisionService
-	slots  []fixedSlot
-	seen   map[string]bool
-}
-
-type fixedSlot struct {
-	wl     *Workload
-	server completedCounter
+	Platform
+	system  string
+	owned   bool
+	servers Servers
 }
 
 // OpenFixed opens an empty DCS (owned=true) or SSP (owned=false)
 // instance over a pool of capacity nodes. Capacity must be explicit and
 // positive: an open instance cannot derive it from workloads it has not
-// seen yet (the blocking runners sum FixedNodes before opening).
-//
-// Attached workloads must already be valid (Workload.Validate);
-// ValidateWorkloads over the whole intended set is the callers'
-// responsibility, which keeps the attach path free of redundant O(jobs)
-// re-validation.
+// seen yet (Run sums FixedNodes before opening).
 func OpenFixed(system string, owned bool, capacity int, opts Options) (*FixedInstance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
+	p, err := NewPlatform(capacity, opts)
 	if err != nil {
 		return nil, err
 	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := setupCostOr(opts, csf.DefaultNodeSetupSeconds)
-	return &FixedInstance{
-		system: system,
-		owned:  owned,
-		opts:   opts,
-		engine: engine,
-		pool:   pool,
-		acct:   acct,
-		setup:  setup,
-		prov:   csf.NewProvisionService(pool, acct, opts.Provision, setup),
-		seen:   make(map[string]bool),
-	}, nil
+	return &FixedInstance{Platform: p, system: system, owned: owned}, nil
 }
-
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *FixedInstance) Engine() *sim.Engine { return x.engine }
-
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *FixedInstance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
-}
-
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see PartitionInstance).
-func (x *FixedInstance) Accounting() *metrics.Accountant { return x.acct }
 
 // Attach admits one provider workload: its runtime environment is
 // created and its job arrivals are scheduled on the instance clock. The
 // workload's first submission must not be in the instance's past.
 func (x *FixedInstance) Attach(wl *Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	params := fixedParams(wl)
 	switch wl.Class {
@@ -166,7 +84,7 @@ func (x *FixedInstance) Attach(wl *Workload) error {
 		if err := startAndFeedHTC(x.engine, srv, wl); err != nil {
 			return err
 		}
-		x.slots = append(x.slots, fixedSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	case job.MTC:
 		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
 			Name:                wl.Name,
@@ -179,71 +97,71 @@ func (x *FixedInstance) Attach(wl *Workload) error {
 		if err := startAndFeedMTC(x.engine, srv, wl); err != nil {
 			return err
 		}
-		x.slots = append(x.slots, fixedSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	default:
 		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
-	x.seen[wl.Name] = true
 	return nil
 }
 
 // Finalize settles open leases at horizon and assembles the Result over
 // every attached workload, in attach order.
 func (x *FixedInstance) Finalize(horizon sim.Time) (Result, error) {
-	x.acct.CloseAll(horizon, !x.owned)
-	aggs := make([]ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		a := ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Submitted: s.server.Submitted(),
-			Completed: s.server.CompletedBy(horizon),
-			Adjusted:  -1,
-		}
-		if x.owned {
-			a.Adjusted = 0 // DCS providers own their machines
-		}
-		if s.wl.Class == job.MTC {
-			a.TPS = s.server.TasksPerSecond()
-		}
-		aggs = append(aggs, a)
-	}
-	res := BuildResult(x.system, horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs)
-	if x.owned {
-		// Owned machines incur no cloud setup work.
-		res.OverheadSeconds = 0
-		res.OverheadPerHour = 0
-	}
-	return res, nil
+	return x.Settle(x.system, horizon, !x.owned, x.servers.Aggs(horizon, x.owned)), nil
 }
 
 // Window snapshots every attached provider at virtual time t, for
 // per-window streamed reports. Call it from an event on the instance
 // clock at t; leases stay open (see BuildWindow).
 func (x *FixedInstance) Window(t sim.Time) []ProviderWindow {
-	aggs := make([]ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		a := ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Completed: s.server.CompletedBy(t),
-			Adjusted:  -1,
-		}
-		if x.owned {
-			a.Adjusted = 0 // DCS providers own their machines
-		}
-		aggs = append(aggs, a)
-	}
-	return BuildWindow(x.acct, t, aggs)
+	return BuildWindow(x.acct, t, x.servers.Aggs(t, x.owned))
 }
 
-// completedCounter is the server surface the result assembly needs.
-type completedCounter interface {
+// Server is the runtime-environment server surface result assembly
+// reads; tre.Server and tre.MTCServer implement it.
+type Server interface {
 	Submitted() int
 	CompletedBy(sim.Time) int
 	TasksPerSecond() float64
+}
+
+// Servers lists the attached providers' servers in attach order, for
+// the systems that run one runtime-environment server per provider.
+type Servers []providerServer
+
+type providerServer struct {
+	wl  *Workload
+	srv Server
+}
+
+// Add records wl's server.
+func (s *Servers) Add(wl *Workload, srv Server) {
+	*s = append(*s, providerServer{wl: wl, srv: srv})
+}
+
+// Aggs builds every provider's aggregate as of virtual time t, for
+// Settle at the horizon or Snapshot mid-run. owned pins adjustments to
+// 0: DCS providers own their machines.
+func (s Servers) Aggs(t sim.Time, owned bool) []ProviderAgg {
+	aggs := make([]ProviderAgg, 0, len(s))
+	for _, p := range s {
+		a := ProviderAgg{
+			Name:      p.wl.Name,
+			Class:     p.wl.Class,
+			Owners:    []string{p.wl.Name},
+			Submitted: p.srv.Submitted(),
+			Completed: p.srv.CompletedBy(t),
+			Adjusted:  -1,
+		}
+		if owned {
+			a.Adjusted = 0
+		}
+		if p.wl.Class == job.MTC {
+			a.TPS = p.srv.TasksPerSecond()
+		}
+		aggs = append(aggs, a)
+	}
+	return aggs
 }
 
 // startAndFeedHTC starts the server at the workload's first submission and

@@ -12,37 +12,11 @@ import (
 	"repro/internal/stats"
 )
 
-// PartitionInstance is the open-instance surface a partitioned run
-// drives: one per-core simulation accepting a contiguous chunk of the
-// run's providers. FixedInstance, DRPInstance, core.Instance and
-// spot.Instance all satisfy it.
-type PartitionInstance interface {
-	Engine() *sim.Engine
-	Attach(*Workload) error
-	Finalize(sim.Time) (Result, error)
-	// Accounting exposes the instance's accountant so the merge can
-	// recompute the global hourly peak over the union of every
-	// partition's lease intervals.
-	Accounting() *metrics.Accountant
-}
-
-// PartitionSpec tells RunPartitioned how to open one partition of a
-// system. Open receives the chunk (a contiguous workload slice, in
-// serial order), the index of its first workload in the full serial
-// set — the seed anchor for positionally-seeded systems — and the run
-// options. Owned marks DCS-style runs whose merged overhead is zero.
-type PartitionSpec struct {
-	System string
-	Open   func(chunk []Workload, first int, opts Options) (PartitionInstance, error)
-	Owned  bool
-}
-
-// RunPartitioned executes one system over P = opts.PartitionCount
-// per-core kernel instances and merges their results into a Result
-// byte-identical to the serial run's. Callers gate on their own
-// isolation conditions first (see the runners); RunPartitioned assumes
-// partitions cannot interact through simulated state and that workloads
-// are already validated.
+// runPartitioned executes b over P = opts.PartitionCount per-core
+// kernel instances and merges their results into a Result
+// byte-identical to the serial run's. Run calls it once b.Partitionable
+// allows, so partitions cannot interact through simulated state and the
+// workloads are already validated.
 //
 // Bit-identity of the merge rests on four facts, each mirroring exactly
 // what BuildResult computes serially:
@@ -60,20 +34,20 @@ type PartitionSpec struct {
 //     invisible.
 //   - OverheadSeconds is the single multiply float64(total)*setupCost,
 //     exactly as serial, not a sum of per-partition products.
-func RunPartitioned(ctx context.Context, workloads []Workload, opts Options, spec PartitionSpec) (Result, error) {
+func runPartitioned(ctx context.Context, b Backend, workloads []Workload, opts Options) (Result, error) {
 	p := opts.PartitionCount(len(workloads))
 	if p < 2 {
-		return Result{}, fmt.Errorf("systems: %s: partitioned run needs >= 2 partitions, have %d", spec.System, p)
+		return Result{}, fmt.Errorf("systems: %s: partitioned run needs >= 2 partitions, have %d", b.Name, p)
 	}
 	horizon := opts.HorizonFor(workloads)
 	bounds := chunkBounds(workloads, p)
 
-	insts := make([]PartitionInstance, 0, len(bounds)-1)
+	insts := make([]Instance, 0, len(bounds)-1)
 	engines := make([]*sim.Engine, 0, len(bounds)-1)
 	for k := 0; k+1 < len(bounds); k++ {
 		start, end := bounds[k], bounds[k+1]
 		chunk := workloads[start:end]
-		inst, err := spec.Open(chunk, start, opts)
+		inst, err := b.Open(b.DefaultCapacity(chunk), opts, start)
 		if err != nil {
 			return Result{}, err
 		}
@@ -87,7 +61,7 @@ func RunPartitioned(ctx context.Context, workloads []Workload, opts Options, spe
 	}
 
 	if _, err := partition.Run(ctx, engines, partition.Config{Horizon: horizon}); err != nil {
-		return Result{}, fmt.Errorf("systems: %s partitioned run aborted: %w", spec.System, err)
+		return Result{}, fmt.Errorf("systems: %s partitioned run aborted: %w", b.Name, err)
 	}
 
 	parts := make([]Result, len(insts))
@@ -98,7 +72,7 @@ func RunPartitioned(ctx context.Context, workloads []Workload, opts Options, spe
 		}
 		parts[i] = r
 	}
-	return mergePartitionResults(spec, horizon, setupCostOr(opts, csf.DefaultNodeSetupSeconds), insts, parts), nil
+	return mergePartitionResults(b.Name, horizon, setupCostOr(opts, csf.DefaultNodeSetupSeconds), insts, parts), nil
 }
 
 // chunkBounds cuts the workload list into p contiguous chunks balanced
@@ -129,8 +103,8 @@ func chunkBounds(workloads []Workload, p int) []int {
 
 // mergePartitionResults assembles the run-level Result from per-partition
 // results, reproducing BuildResult's accumulation order exactly.
-func mergePartitionResults(spec PartitionSpec, horizon sim.Time, setup float64, insts []PartitionInstance, parts []Result) Result {
-	res := Result{System: spec.System, Horizon: horizon}
+func mergePartitionResults(system string, horizon sim.Time, setup float64, insts []Instance, parts []Result) Result {
+	res := Result{System: system, Horizon: horizon}
 	for _, p := range parts {
 		res.Providers = append(res.Providers, p.Providers...)
 		res.RejectedRequests += p.RejectedRequests
@@ -147,12 +121,6 @@ func mergePartitionResults(spec PartitionSpec, horizon sim.Time, setup float64, 
 	res.OverheadSeconds = float64(res.TotalNodesAdjusted) * setup
 	if horizon > 0 {
 		res.OverheadPerHour = res.OverheadSeconds / (float64(horizon) / 3600)
-	}
-	if spec.Owned {
-		// Owned machines incur no cloud setup work, as in
-		// FixedInstance.Finalize.
-		res.OverheadSeconds = 0
-		res.OverheadPerHour = 0
 	}
 	return res
 }

@@ -90,8 +90,8 @@ func fixedParams(wl *Workload) policy.Params {
 // feeder must belong to this instance's engine and be started after
 // every attach.
 func (x *FixedInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	params := fixedParams(wl)
 	switch wl.Class {
@@ -109,7 +109,7 @@ func (x *FixedInstance) AttachStream(wl *Workload, src stream.Source, f *stream.
 		if err != nil {
 			return err
 		}
-		x.slots = append(x.slots, fixedSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	case job.MTC:
 		if src != nil {
 			return fmt.Errorf("systems: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
@@ -128,11 +128,10 @@ func (x *FixedInstance) AttachStream(wl *Workload, src stream.Source, f *stream.
 		if err != nil {
 			return err
 		}
-		x.slots = append(x.slots, fixedSlot{wl: wl, server: srv})
+		x.servers.Add(wl, srv)
 	default:
 		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
-	x.seen[wl.Name] = true
 	return nil
 }
 
@@ -150,8 +149,8 @@ type drpStreamAgg struct {
 // every delivered job creates an owner entry, so only the task schedule
 // (not the accountant) is bounded by the feeder window.
 func (x *DRPInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	if err := x.Claim(wl.Name); err != nil {
+		return err
 	}
 	switch wl.Class {
 	case job.HTC:
@@ -193,6 +192,5 @@ func (x *DRPInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Fe
 	default:
 		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
-	x.seen[wl.Name] = true
 	return nil
 }

@@ -1,16 +1,18 @@
 // Package systems defines the comparison harness of the paper's
-// evaluation: the shared workload/result types and the three baseline
-// systems — DCS (dedicated cluster), SSP (static service provision) and
-// DRP (direct resource provision). The DSP system, DawningCloud, lives in
-// internal/core and produces the same Result type.
+// evaluation: the shared workload/result types, the Backend descriptor
+// every system registers and its blocking driver Run, and the three
+// baseline systems — DCS (dedicated cluster), SSP (static service
+// provision) and DRP (direct resource provision). The DSP system,
+// DawningCloud, lives in internal/core and produces the same Result
+// type.
 //
-// All four runners simulate the same workloads over the same accounting
-// window and report the paper's metrics: completed jobs (HTC), tasks per
-// second (MTC), per-provider resource consumption in node*hours, and the
-// resource provider's total consumption, peak consumption and accumulated
-// node adjustments.
+// Every system simulates the same workloads over the same accounting
+// window and reports the paper's metrics: completed jobs (HTC), tasks
+// per second (MTC), per-provider resource consumption in node*hours, and
+// the resource provider's total consumption, peak consumption and
+// accumulated node adjustments.
 //
-// Every runner builds its simulation state (engine, pool, accountant,
+// Every run builds its simulation state (engine, pool, accountant,
 // servers) per call and treats workloads as read-only, so independent
 // runs may execute concurrently; use CloneWorkloads when a caller mutates
 // workloads between runs.
@@ -120,10 +122,10 @@ type Options struct {
 	// Partitions splits the run's providers onto that many per-core
 	// kernel instances advancing in lockstep (internal/sim/partition),
 	// merged into one Result byte-identical to the serial run. 0 or 1
-	// runs serially; negative uses one partition per CPU. Runners fall
+	// runs serially; negative uses one partition per CPU. Run falls
 	// back to the serial path whenever partitioning cannot preserve
 	// bit-identity (a capacity-bound shared pool, a single workload, or
-	// a system-specific coupling; see RunPartitioned).
+	// a system-specific coupling; see Backend.Partitionable).
 	Partitions int
 }
 

@@ -151,10 +151,10 @@ func createTREAt(engine *sim.Engine, fw *csf.Framework, name, kind string, t sim
 // workload's first submission and schedules job arrivals.
 func createAndFeedHTC(engine *sim.Engine, fw *csf.Framework, srv *tre.Server, wl *systems.Workload) error {
 	createTREAt(engine, fw, wl.Name, "HTC", wl.FirstSubmit(), srv.Start)
-	engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
-		j := &wl.Jobs[i]
-		return j.Submit, func() { srv.Submit(j) }
-	})
+	jobs := wl.Jobs
+	engine.ScheduleBatch(len(jobs),
+		func(i int) sim.Time { return jobs[i].Submit },
+		func(i int) { srv.Submit(&jobs[i]) })
 	return nil
 }
 

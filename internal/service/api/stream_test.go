@@ -175,6 +175,9 @@ func TestTaskValidation(t *testing.T) {
 		{"wider than the provider", `{"id":5,"submit":0,"runtime":60,"nodes":8}` + "\n" +
 			`{"id":6,"submit":0,"runtime":60,"nodes":16}`, http.StatusBadRequest, 1,
 			"record 2: job 6: 16 nodes exceed fixed RE size 8"},
+		{"record over the size cap", `{"id":7,"submit":0,"runtime":60,"nodes":1}` + "\n" +
+			`{"id":8,"name":"` + strings.Repeat("x", stream.MaxRecordBytes) + `","submit":0,"runtime":60,"nodes":1}`,
+			http.StatusBadRequest, 1, "record 2: stream: record exceeds 65536 bytes"},
 		{"submit order", `{"id":1,"submit":100,"runtime":60,"nodes":1}` + "\n" +
 			`{"id":2,"submit":50,"runtime":60,"nodes":1}`, http.StatusBadRequest, 1,
 			"record 2: job 2: submit 50 before previous 100 (sources must be submit-sorted)"},

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sim/refheap"
@@ -9,12 +10,14 @@ import (
 
 // kernelOps is the least common denominator of the fast kernel and the
 // refheap reference kernel, expressed over plain int64s so one seeded
-// script drives both implementations identically.
+// script drives both implementations identically. batch is ScheduleBatch
+// on the fast kernel and n At calls on the reference.
 type kernelOps struct {
 	name     string
 	now      func() int64
 	length   func() int
 	at       func(t int64, fn func()) int64
+	batch    func(n int, at func(i int) int64, fire func(i int))
 	schedule func(d int64, fn func()) int64
 	cancel   func(id int64) bool
 	every    func(interval int64, fn func()) func()
@@ -29,6 +32,7 @@ func fastOps(e *Engine) kernelOps {
 		now:      e.Now,
 		length:   e.Len,
 		at:       func(t int64, fn func()) int64 { return int64(e.At(t, fn)) },
+		batch:    e.ScheduleBatch,
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
 		every:    e.Every,
@@ -44,6 +48,7 @@ func refOps(e *refheap.Engine) kernelOps {
 		now:      e.Now,
 		length:   e.Len,
 		at:       e.At,
+		batch:    refBatch(e),
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
 		every:    e.Every,
@@ -66,6 +71,7 @@ func fastStepOps(e *Engine) kernelOps {
 		now:      e.Now,
 		length:   e.Len,
 		at:       func(t int64, fn func()) int64 { return int64(e.At(t, fn)) },
+		batch:    e.ScheduleBatch,
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
 		every:    e.Every,
@@ -90,6 +96,16 @@ func fastStepOps(e *Engine) kernelOps {
 	}
 }
 
+// refBatch is a batch on the reference kernel: one At call per item, in
+// index order.
+func refBatch(e *refheap.Engine) func(n int, at func(i int) int64, fire func(i int)) {
+	return func(n int, at func(i int) int64, fire func(i int)) {
+		for i := 0; i < n; i++ {
+			e.At(at(i), func() { fire(i) })
+		}
+	}
+}
+
 // refStepOps is fastStepOps for the refheap reference kernel.
 func refStepOps(e *refheap.Engine) kernelOps {
 	stopped := false
@@ -98,6 +114,7 @@ func refStepOps(e *refheap.Engine) kernelOps {
 		now:      e.Now,
 		length:   e.Len,
 		at:       e.At,
+		batch:    refBatch(e),
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
 		every:    e.Every,
@@ -132,11 +149,13 @@ type traceEntry struct {
 }
 
 // script replays one seeded schedule — initial events that spawn children
-// and cancel peers, periodic timers that stop themselves, mid-run Stop
-// calls, segmented Run windows — against a kernel, returning the full
-// observable trace. Every random draw comes from generator state advanced
-// identically on both kernels as long as their execution orders agree;
-// any divergence shows up as differing traces.
+// and cancel peers, sorted, unsorted and empty batches (issued up front,
+// between windows and from inside firing events and batch items, with
+// items at the current instant), periodic timers that stop themselves,
+// mid-run Stop calls, segmented Run windows — against a kernel, returning
+// the full observable trace. Every random draw comes from generator state
+// advanced identically on both kernels as long as their execution orders
+// agree; any divergence shows up as differing traces.
 func script(seed int64, ops kernelOps) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
@@ -151,6 +170,29 @@ func script(seed int64, ops kernelOps) []traceEntry {
 	// be pending, fired or cancelled — the result bool is part of the
 	// trace), or stop the whole run.
 	var fire func(tag int64, depth int, behavior int64) func()
+
+	// batch issues up to maxN items at from+offset, one in four offsets
+	// zero so items tie at from, sorted when the draw says so. Each item
+	// fires as an event tagged tag+index would.
+	batch := func(r *rand.Rand, tag int64, depth int, from int64, maxN int64) {
+		times := make([]int64, r.Int63n(maxN+1))
+		for i := range times {
+			if r.Int63n(4) > 0 {
+				times[i] = from + r.Int63n(600)
+			} else {
+				times[i] = from
+			}
+		}
+		if r.Int63n(2) == 0 {
+			slices.Sort(times)
+		}
+		record("batch", tag, false)
+		behavior := r.Int63()
+		ops.batch(len(times), func(i int) int64 { return times[i] }, func(i int) {
+			fire(tag+int64(i), depth, behavior+int64(i))()
+		})
+	}
+
 	fire = func(tag int64, depth int, behavior int64) func() {
 		return func() {
 			record("fire", tag, false)
@@ -172,6 +214,9 @@ func script(seed int64, ops kernelOps) []traceEntry {
 				record("stop", tag, false)
 				ops.stop()
 			}
+			if depth < 3 && r.Int63n(6) == 0 {
+				batch(r, tag*1000+100, depth+1, ops.now(), 6)
+			}
 		}
 	}
 
@@ -180,6 +225,9 @@ func script(seed int64, ops kernelOps) []traceEntry {
 		at := rng.Int63n(4000)
 		id := ops.at(at, fire(int64(i), 0, seed*977+int64(i)))
 		ids = append(ids, id)
+	}
+	for k := int64(0); k < 4; k++ {
+		batch(rng, 40_000+100*k, 0, rng.Int63n(2000), 60)
 	}
 
 	// Periodic timers that stop themselves after a few ticks, plus one
@@ -218,6 +266,7 @@ func script(seed int64, ops kernelOps) []traceEntry {
 		record("segment", until, false)
 		id := ops.at(ops.now()+rng.Int63n(200), fire(30_000+until, 1, seed+until))
 		ids = append(ids, id)
+		batch(rng, 50_000+10*until, 1, ops.now(), 20)
 	}
 	ops.run(3_000)
 	stopExt()

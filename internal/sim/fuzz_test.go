@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
 // FuzzEventOrder feeds arbitrary byte programs to the kernel — schedule,
-// cancel, run-segment and stop opcodes — and checks the heap's core
-// invariants on whatever schedule results:
+// cancel, run-segment, foreign-cancel and batch opcodes — and checks the
+// heap's core invariants on whatever schedule results:
 //
 //   - events pop in nondecreasing virtual time;
 //   - same-time events pop FIFO (in schedule order);
@@ -17,6 +18,7 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 0, 5, 1, 0, 2, 20})
 	f.Add([]byte{0, 255, 0, 0, 0, 0, 1, 9, 3, 0, 0, 7})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 2, 255})
+	f.Add([]byte{4, 0x10, 4, 0x51, 4, 0x02, 0, 3, 4, 0x93, 2, 4, 4, 0x37, 4, 0xfb, 4, 0x03})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		e := New()
 		type firing struct {
@@ -27,6 +29,47 @@ func FuzzEventOrder(f *testing.F) {
 		var ids []EventID
 		seq := 0
 		scheduled, cancelled := 0, 0
+
+		// batch issues n = arg>>4&7 items at now + a delay drawn from the
+		// batch's own bytes, in one of four shapes picked by arg&3:
+		// nondecreasing, unsorted, empty, or issued by an event firing at
+		// the current instant (with items at that instant).
+		batch := func(arg byte) {
+			n := int(arg >> 4 & 7)
+			delays := make([]Time, n)
+			for i := range delays {
+				delays[i] = Time((int(arg)*7 + i*13) % 23)
+			}
+			switch arg & 3 {
+			case 0:
+				slices.Sort(delays)
+			case 2:
+				delays = nil
+			case 3:
+				if n > 0 {
+					delays[0] = 0
+				}
+			}
+			issue := func() {
+				base, now := seq, e.Now()
+				seq += len(delays)
+				scheduled += len(delays)
+				e.ScheduleBatch(len(delays),
+					func(i int) Time { return now + delays[i] },
+					func(i int) { fired = append(fired, firing{time: e.Now(), seq: base + i}) })
+			}
+			if arg&3 != 3 {
+				issue()
+				return
+			}
+			mySeq := seq
+			seq++
+			scheduled++
+			e.Schedule(0, func() {
+				fired = append(fired, firing{time: e.Now(), seq: mySeq})
+				issue()
+			})
+		}
 
 		step := 0
 		next := func() (byte, bool) {
@@ -43,7 +86,7 @@ func FuzzEventOrder(f *testing.F) {
 				break
 			}
 			arg, _ := next()
-			switch op % 4 {
+			switch op % 5 {
 			case 0: // schedule at now+arg
 				mySeq := seq
 				seq++
@@ -63,6 +106,8 @@ func FuzzEventOrder(f *testing.F) {
 				if e.Cancel(EventID(int64(arg)*1_000_003 + 1<<40)) {
 					t.Fatalf("cancel of foreign id reported success")
 				}
+			case 4: // schedule a batch
+				batch(arg)
 			}
 		}
 		e.RunAll()

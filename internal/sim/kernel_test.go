@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -122,44 +123,207 @@ func TestCancelInterleavedWithPopsKeepsAccounting(t *testing.T) {
 	}
 }
 
+// TestCompactionBoundsHeapBesideLongRun pins that compaction weighs dead
+// entries against live heap nodes, not pending items: cancelled timers
+// beside a long sorted batch (one node) must not stay in the heap.
+func TestCompactionBoundsHeapBesideLongRun(t *testing.T) {
+	e := New()
+	const n = 10_000
+	e.ScheduleBatch(n, func(i int) Time { return Time(i) }, func(int) {})
+	for i := 0; i < n; i++ {
+		e.Cancel(e.Schedule(Time(i), func() { t.Error("cancelled event fired") }))
+	}
+	if len(e.heap) > 2*compactMinDead {
+		t.Errorf("heap holds %d nodes beside one run and %d cancelled events, want <= %d",
+			len(e.heap), n, 2*compactMinDead)
+	}
+	if e.Len() != n {
+		t.Fatalf("Len() = %d, want %d", e.Len(), n)
+	}
+}
+
 // TestScheduleBatchMatchesIndividualAt pins ScheduleBatch semantics: item
 // order assigns issue order, so a batch is indistinguishable from the
-// equivalent sequence of At calls — including FIFO ties.
+// equivalent sequence of At calls — including FIFO ties against other
+// events, batches split into several runs, and batches issued from
+// inside a firing event at the current instant.
 func TestScheduleBatchMatchesIndividualAt(t *testing.T) {
-	times := []Time{30, 10, 10, 20, 10, 30}
+	type firing struct {
+		tag int
+		now Time
+	}
+	// A program schedules through batch (one ScheduleBatch, or one At per
+	// time) and at (a plain event); every firing is logged under the tag
+	// its item or event was issued with, then runs then, if set.
+	type (
+		batchFn = func(then func(i int), times ...Time)
+		atFn    = func(t Time, then func())
+		program = func(batch batchFn, at atFn)
+	)
+	cases := []struct {
+		name string
+		prog program
+		want []int // tags in firing order, when pinned
+	}{
+		{"sorted", func(batch batchFn, at atFn) {
+			batch(nil, 0, 10, 10, 20, 30, 30)
+		}, []int{0, 1, 2, 3, 4, 5}},
+		{"unsorted", func(batch batchFn, at atFn) {
+			batch(nil, 30, 10, 10, 20, 10, 30)
+		}, []int{1, 2, 4, 3, 0, 5}},
+		{"decreasing", func(batch batchFn, at atFn) {
+			batch(nil, 40, 30, 20, 10, 0)
+		}, []int{4, 3, 2, 1, 0}},
+		{"empty", func(batch batchFn, at atFn) {
+			at(5, nil)
+			batch(nil)
+			at(5, nil)
+		}, []int{0, 1}},
+		{"ties with events and other batches", func(batch batchFn, at atFn) {
+			at(10, nil)
+			batch(nil, 10, 20, 10, 20)
+			at(10, nil)
+			batch(nil, 20, 10)
+			at(20, nil)
+		}, []int{0, 1, 3, 5, 7, 2, 4, 6, 8}},
+		{"inside an event at the current instant", func(batch batchFn, at atFn) {
+			batch(nil, 5, 5, 9)
+			at(5, func() { batch(nil, 5, 7, 5, 9) })
+			at(5, nil)
+		}, []int{0, 1, 3, 4, 5, 7, 6, 2, 8}},
+		{"inside a batch item at the current instant", func(batch batchFn, at atFn) {
+			batch(func(i int) {
+				if i == 1 {
+					batch(nil, 3, 3, 5, 3)
+				}
+			}, 1, 3, 3, 4)
+			at(3, nil)
+		}, []int{0, 1, 2, 4, 5, 6, 8, 3, 7}},
+	}
 
-	run := func(batch bool) []int {
+	run := func(useBatch bool, prog program) (log []firing, pending int) {
 		e := New()
-		var order []int
-		item := func(i int) (Time, func()) {
-			return times[i], func() { order = append(order, i) }
-		}
-		if batch {
-			e.ScheduleBatch(len(times), item)
-		} else {
-			for i := range times {
-				at, fn := item(i)
-				e.At(at, fn)
+		tags := 0
+		logFiring := func(tag int) { log = append(log, firing{tag, e.Now()}) }
+		var batch batchFn
+		batch = func(then func(i int), times ...Time) {
+			base := tags
+			tags += len(times)
+			fire := func(i int) {
+				logFiring(base + i)
+				if then != nil {
+					then(i)
+				}
+			}
+			if useBatch {
+				e.ScheduleBatch(len(times), func(i int) Time { return times[i] }, fire)
+				return
+			}
+			for i, at := range times {
+				e.At(at, func() { fire(i) })
 			}
 		}
+		at := func(t Time, then func()) {
+			tag := tags
+			tags++
+			e.At(t, func() {
+				logFiring(tag)
+				if then != nil {
+					then()
+				}
+			})
+		}
+		prog(batch, at)
+		pending = e.Len()
 		e.RunAll()
-		return order
+		if e.Len() != 0 {
+			t.Fatalf("Len() = %d after drain", e.Len())
+		}
+		return log, pending
 	}
 
-	batched, individual := run(true), run(false)
-	if len(batched) != len(individual) {
-		t.Fatalf("lengths differ: %d vs %d", len(batched), len(individual))
-	}
-	for i := range batched {
-		if batched[i] != individual[i] {
-			t.Fatalf("order differs at %d: batch %v, individual %v", i, batched, individual)
+	for _, c := range cases {
+		batched, batchedLen := run(true, c.prog)
+		individual, individualLen := run(false, c.prog)
+		if batchedLen != individualLen {
+			t.Errorf("%s: Len() = %d with batches, %d with At calls", c.name, batchedLen, individualLen)
+		}
+		if !slices.Equal(batched, individual) {
+			t.Errorf("%s: firings differ:\n batch %v\n At    %v", c.name, batched, individual)
+			continue
+		}
+		if c.want == nil {
+			continue
+		}
+		got := make([]int, len(batched))
+		for i, f := range batched {
+			got[i] = f.tag
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: firing order = %v, want %v", c.name, got, c.want)
 		}
 	}
-	want := []int{1, 2, 4, 3, 0, 5}
-	for i := range want {
-		if batched[i] != want[i] {
-			t.Fatalf("batch order = %v, want %v", batched, want)
+}
+
+// TestScheduleBatchPanicsBeforeNow pins that a batch item before Now
+// panics as At does, after scheduling exactly the items ahead of it.
+func TestScheduleBatchPanicsBeforeNow(t *testing.T) {
+	for _, times := range [][]Time{{5, 20}, {10, 12, 9, 11}, {10, 10, 12, 3}} {
+		e := New()
+		e.Advance(10)
+		scheduled := 0
+		for scheduled < len(times) && times[scheduled] >= 10 {
+			scheduled++
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: batch with an item before now did not panic", times)
+				}
+			}()
+			e.ScheduleBatch(len(times), func(i int) Time { return times[i] }, func(int) {})
+		}()
+		if e.Len() != scheduled {
+			t.Errorf("%v: Len() = %d after the panic, want the %d items ahead of it", times, e.Len(), scheduled)
+		}
+	}
+}
+
+// TestCancelRefusesBatchRuns pins that batch items cannot be cancelled:
+// an ID forged from a run's slot and current generation is refused, both
+// before the run starts and after it advanced in place.
+func TestCancelRefusesBatchRuns(t *testing.T) {
+	e := New()
+	fired := 0
+	e.ScheduleBatch(4, func(i int) Time { return Time(i) }, func(int) { fired++ })
+	e.ScheduleBatch(2, func(i int) Time { return Time(2 - i) }, func(int) { fired++ })
+	forge := func() {
+		t.Helper()
+		runs := 0
+		for slot := range e.slab {
+			ev := &e.slab[slot]
+			if !ev.live || ev.run == nil {
+				continue
+			}
+			runs++
+			if e.Cancel(packID(int32(slot), ev.gen)) {
+				t.Fatalf("Cancel of a forged ID on run slot %d reported success", slot)
+			}
+		}
+		if runs == 0 {
+			t.Fatal("no run slot to forge an ID for")
+		}
+	}
+	forge()
+	e.Step()
+	e.Step()
+	forge()
+	if e.Len() != 4 {
+		t.Fatalf("Len() = %d after two steps, want 4", e.Len())
+	}
+	e.RunAll()
+	if fired != 6 {
+		t.Fatalf("fired = %d, want 6", fired)
 	}
 }
 
@@ -177,9 +341,7 @@ func TestReservePreGrowsWithoutScheduling(t *testing.T) {
 	}
 	heapCap, slabCap := cap(e.heap), cap(e.slab)
 	fired := 0
-	e.ScheduleBatch(1000, func(i int) (Time, func()) {
-		return Time(i % 37), func() { fired++ }
-	})
+	e.ScheduleBatch(1000, func(i int) Time { return Time(i % 37) }, func(int) { fired++ })
 	if cap(e.heap) != heapCap || cap(e.slab) != slabCap {
 		t.Errorf("batch within reservation reallocated: heap %d->%d, slab %d->%d",
 			heapCap, cap(e.heap), slabCap, cap(e.slab))

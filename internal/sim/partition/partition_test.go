@@ -186,9 +186,7 @@ func TestReserveUnderPartitioning(t *testing.T) {
 	for pi, e := range engines {
 		e.Reserve(events) // explicit, as a bulk feeder would
 		eng, base := e, sim.Time(pi)
-		eng.ScheduleBatch(events, func(i int) (sim.Time, func()) {
-			return base + sim.Time(2*i), func() {}
-		})
+		eng.ScheduleBatch(events, func(i int) sim.Time { return base + sim.Time(2*i) }, func(int) {})
 	}
 
 	var before, after runtime.MemStats

@@ -20,16 +20,30 @@
 //     monotonically increasing issue number, so ties at the same instant
 //     pop in schedule order (FIFO) and the comparator is a total order —
 //     pop order is independent of the heap's internal shape.
+//   - A heap node is either a single event (At, Schedule, Every) or a
+//     batch run: one maximal stretch of nondecreasing times from a
+//     ScheduleBatch call, keyed by its next item's (time, seq). Step
+//     moves a run's node to the following item before firing the current
+//     one, so the heap holds O(in-flight events + runs) nodes, not one
+//     per pending arrival: a sorted feed of a million jobs is one node
+//     and allocates nothing per job. A run's items take consecutive seqs,
+//     so a heap of run heads pops exactly what the equivalent At calls
+//     would.
+//   - ScheduleBatch calls its at function again as a run advances, so at
+//     must return the same time for an index for as long as the batch has
+//     undelivered items (every caller reads a read-only job slice or a
+//     round buffer it no longer writes).
 //   - slab entries are reused through a free list, so steady-state
-//     scheduling performs no per-event allocation; Reserve/ScheduleBatch
-//     pre-size both arrays for bulk feeds.
+//     scheduling performs no per-event allocation.
 //   - EventIDs pack (slot+1, generation). The generation increments every
 //     time a slot is freed, so a stale ID — already fired, already
 //     cancelled, or from another engine — can never reach a reused slot:
-//     Cancel of such an ID reports false and touches nothing.
+//     Cancel of such an ID reports false and touches nothing. Batch items
+//     carry no ID and cannot be cancelled: Cancel refuses a run's slot
+//     even for an ID forged with the slot's current generation.
 //   - Cancel is O(1) and lazy: the entry is marked dead in place and
 //     skipped when it surfaces at the heap top. When dead entries
-//     outnumber live ones (and exceed a small floor), the heap compacts,
+//     outnumber live nodes (and exceed a small floor), the heap compacts,
 //     dropping every dead entry in one O(n) heapify, so a
 //     schedule-many/cancel-many workload cannot leak queue space.
 //   - Every runs on timer nodes recycled through a sync.Pool; a
@@ -109,13 +123,24 @@ func unpackID(id EventID) (slot int, gen uint32, ok bool) {
 	return int(slotPlus1) - 1, uint32(uint64(id)>>32) & 0xffffffff, true
 }
 
-// event is one slab entry. A live entry is scheduled and uncancelled; a
-// dead entry either waits at its heap position to be skipped (cancelled)
-// or sits on the free list (fired/compacted/skipped).
+// event is one slab entry: a single event's callback (fn) or a batch run
+// (run). A live entry is scheduled and uncancelled; a dead entry either
+// waits at its heap position to be skipped (cancelled) or sits on the
+// free list (fired/compacted/skipped).
 type event struct {
 	fn   func()
+	run  *batchRun
 	gen  uint32 // bumped on every free; stale-ID guard
 	live bool
+}
+
+// batchRun is the undelivered part of one stretch of a ScheduleBatch
+// call: items next..end-1, whose times are nondecreasing and whose seqs
+// are consecutive. Its heap node is keyed by item next.
+type batchRun struct {
+	at        func(i int) Time
+	fire      func(i int)
+	next, end int
 }
 
 // heapNode is one heap entry. The ordering key (time, seq) lives in the
@@ -153,7 +178,7 @@ type Engine struct {
 	slab    []event
 	free    []int32 // slab slots ready for reuse
 	nextSeq int64
-	live    int // scheduled and not cancelled
+	live    int // events scheduled and not cancelled, batch items included
 	dead    int // cancelled but still occupying a heap position
 	stopped bool
 }
@@ -164,7 +189,8 @@ func New() *Engine { return &Engine{} }
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Len reports the number of pending (scheduled, uncancelled) events.
+// Len reports the number of pending (scheduled, uncancelled) events,
+// counting every undelivered batch item.
 func (e *Engine) Len() int { return e.live }
 
 // siftUp restores the heap property for a new entry at index i.
@@ -228,7 +254,7 @@ func (e *Engine) popTop() {
 // here.
 func (e *Engine) freeSlot(slot int32) {
 	ev := &e.slab[slot]
-	ev.fn = nil
+	ev.fn, ev.run = nil, nil
 	ev.live = false
 	ev.gen = (ev.gen + 1) & genMask
 	e.free = append(e.free, slot)
@@ -250,12 +276,12 @@ func (e *Engine) peekLive() (node heapNode, ok bool) {
 }
 
 // maybeCompact rebuilds the heap without its dead entries once they
-// outnumber the live ones, bounding queue growth under schedule-heavy
+// outnumber the live nodes, bounding queue growth under schedule-heavy
 // cancel-heavy workloads. Compaction cannot change pop order: the
 // comparator is a total order, so the pop sequence is independent of the
 // heap's internal arrangement.
 func (e *Engine) maybeCompact() {
-	if e.dead < compactMinDead || e.dead <= e.live {
+	if e.dead < compactMinDead || e.dead <= len(e.heap)-e.dead {
 		return
 	}
 	kept := e.heap[:0]
@@ -289,13 +315,24 @@ func (e *Engine) Schedule(delay Time, fn func()) EventID {
 
 // At runs fn at absolute virtual time t, which must not be in the past.
 func (e *Engine) At(t Time, fn func()) EventID {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e.nextSeq++
+	slot := e.push(t, fn, nil)
+	return packID(slot, e.slab[slot].gen)
+}
+
+// push enters one heap node at time t for a single event (fn) or a batch
+// run (r), and returns its slab slot. The node's events, one or the
+// run's items, take the next issue numbers.
+func (e *Engine) push(t Time, fn func(), r *batchRun) int32 {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
+	}
+	items := 1
+	if r != nil {
+		items = r.end - r.next
+	}
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -305,18 +342,18 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		slot = int32(len(e.slab) - 1)
 	}
 	ev := &e.slab[slot]
-	ev.fn = fn
+	ev.fn, ev.run = fn, r
 	ev.live = true
-	e.heap = append(e.heap, heapNode{time: t, seq: e.nextSeq, slot: slot})
+	e.heap = append(e.heap, heapNode{time: t, seq: e.nextSeq + 1, slot: slot})
 	e.siftUp(len(e.heap) - 1)
-	e.live++
-	return packID(slot, ev.gen)
+	e.nextSeq += int64(items)
+	e.live += items
+	return slot
 }
 
-// Reserve pre-grows the queue for n upcoming events, so a bulk feed (a
-// workload's every job submission, say) triggers at most one allocation
-// for the heap and one for the slab instead of O(log n) progressive
-// growths.
+// Reserve pre-grows the queue for n upcoming single events, so a bulk
+// feed of At calls triggers at most one allocation for the heap and one
+// for the slab instead of O(log n) progressive growths.
 func (e *Engine) Reserve(n int) {
 	if n <= 0 {
 		return
@@ -337,19 +374,35 @@ func (e *Engine) Reserve(n int) {
 	}
 }
 
-// ScheduleBatch schedules n events in one pre-sized operation. item(i)
-// must return the i-th event's absolute time and callback; items receive
-// consecutive issue numbers in index order, so same-time events fire in
-// item order exactly as n individual At calls would.
-func (e *Engine) ScheduleBatch(n int, item func(i int) (at Time, fn func())) {
+// ScheduleBatch schedules n events: item i runs fire(i) at absolute time
+// at(i). Items take consecutive issue numbers in index order, so the
+// batch fires exactly as n individual At calls would, same-time ties
+// included, and like At it panics on an item before Now. Batch items
+// return no EventID and cannot be cancelled.
+//
+// Each maximal stretch of nondecreasing times is held as one heap node
+// that advances through its items, so a sorted feed costs one node and
+// no allocation per item; an unsorted batch degrades to one node per
+// stretch. at is called again as a stretch advances: it must return the
+// same time for an index for as long as the batch has undelivered items.
+func (e *Engine) ScheduleBatch(n int, at func(i int) Time, fire func(i int)) {
 	if n <= 0 {
 		return
 	}
-	e.Reserve(n)
-	for i := 0; i < n; i++ {
-		at, fn := item(i)
-		e.At(at, fn)
+	if at == nil || fire == nil {
+		panic("sim: nil batch function")
 	}
+	start, head := 0, at(0)
+	prev := head
+	for i := 1; i < n; i++ {
+		t := at(i)
+		if t < prev {
+			e.push(head, nil, &batchRun{at: at, fire: fire, next: start, end: i})
+			start, head = i, t
+		}
+		prev = t
+	}
+	e.push(head, nil, &batchRun{at: at, fire: fire, next: start, end: n})
 }
 
 // Cancel removes a pending event. It reports whether the event was still
@@ -362,7 +415,7 @@ func (e *Engine) Cancel(id EventID) bool {
 		return false
 	}
 	ev := &e.slab[slot]
-	if !ev.live || ev.gen != gen {
+	if !ev.live || ev.gen != gen || ev.run != nil {
 		return false
 	}
 	ev.live = false
@@ -486,11 +539,25 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
+	e.live--
+	e.now = top.time
+	if r := e.slab[top.slot].run; r != nil {
+		// Re-key the node to the run's next item before firing, so the
+		// queue the item's callback sees no longer holds the item.
+		i := r.next
+		if r.next++; r.next < r.end {
+			e.heap[0] = heapNode{time: r.at(r.next), seq: top.seq + 1, slot: top.slot}
+			e.siftDown(0)
+		} else {
+			e.popTop()
+			e.freeSlot(top.slot)
+		}
+		r.fire(i)
+		return true
+	}
 	fn := e.slab[top.slot].fn
 	e.popTop()
-	e.live--
 	e.freeSlot(top.slot)
-	e.now = top.time
 	fn()
 	return true
 }

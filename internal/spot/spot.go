@@ -287,10 +287,10 @@ func (p *spotProvider) schedule() error {
 	switch wl.Class {
 	case job.HTC:
 		p.submitted = len(wl.Jobs)
-		p.engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
-			j := &wl.Jobs[i]
-			return j.Submit, func() { p.enqueue(j) }
-		})
+		jobs := wl.Jobs
+		p.engine.ScheduleBatch(len(jobs),
+			func(i int) sim.Time { return jobs[i].Submit },
+			func(i int) { p.enqueue(&jobs[i]) })
 	case job.MTC:
 		p.submitted = len(wl.Jobs)
 		p.initMTC()

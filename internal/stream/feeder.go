@@ -230,14 +230,13 @@ func (f *Feeder) refill() {
 			}
 		}
 		buf := ln.buf
-		f.engine.ScheduleBatch(len(buf), func(i int) (sim.Time, func()) {
-			rec := buf[i]
-			return rec.at, func() {
+		f.engine.ScheduleBatch(len(buf),
+			func(i int) sim.Time { return buf[i].at },
+			func(i int) {
 				f.resident--
 				f.delivered++
-				rec.run()
-			}
-		})
+				buf[i].run()
+			})
 		ln.buf = nil
 	}
 	for _, ln := range f.lanes {

@@ -1,9 +1,9 @@
 package stream
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/job"
 )
@@ -57,7 +57,7 @@ func (g *Gen) Next() (job.Job, error) {
 	g.i++
 	j := job.Job{
 		ID:      g.i,
-		Name:    fmt.Sprintf("gen-%d", g.i),
+		Name:    "gen-" + strconv.Itoa(g.i),
 		Class:   job.HTC,
 		Submit:  g.next,
 		Runtime: 1 + g.rng.Int63n(g.cfg.MaxRuntime),

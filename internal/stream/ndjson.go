@@ -67,14 +67,29 @@ func WriteNDJSON(w io.Writer, workload string, jobs []job.Job) error {
 	return nil
 }
 
+// MaxRecordBytes bounds one task record: the bytes from the end of the
+// previous record (or the start of the body) through the record's last
+// byte. A record that needs more fails with ErrRecordTooLong, so a body
+// cannot make the decoder buffer an unbounded value.
+const MaxRecordBytes = 64 << 10
+
+// ErrRecordTooLong is the error for a record over MaxRecordBytes.
+var ErrRecordTooLong = fmt.Errorf("stream: record exceeds %d bytes", MaxRecordBytes)
+
+// fastLineBytes is the fast path's line buffer. A longer line goes to
+// the fallback, so the fast path never holds a record near
+// MaxRecordBytes.
+const fastLineBytes = 4 << 10
+
 // RecordDecoder reads task records from an NDJSON body with the
-// semantics of a json.Decoder with DisallowUnknownFields: the same
-// records, the same error text, at the same record. It parses the lines
-// WriteNDJSON writes without reflection: one compact object per line
-// ending in '\n', keys among TaskRecord's exact lowercase names, integer
-// literals, true/false, and printable-ASCII strings without escapes. At
-// the first line in any other form it hands the rest of the body,
-// starting at that line's first byte, to a json.Decoder.
+// semantics of a json.Decoder with DisallowUnknownFields, reading each
+// record through at most MaxRecordBytes: the same records, the same
+// error text, at the same record. It parses the lines WriteNDJSON writes
+// without reflection: one compact object per line ending in '\n', keys
+// among TaskRecord's exact lowercase names, integer literals,
+// true/false, and printable-ASCII strings without escapes. At the first
+// line in any other form it hands the rest of the body, starting at the
+// '\n' that ended the previous record, to a json.Decoder.
 //
 // The guarantee covers bodies read to their end and bodies cut by a
 // read error that every later read repeats, as a failed connection
@@ -82,13 +97,15 @@ func WriteNDJSON(w io.Writer, workload string, jobs []job.Job) error {
 // line (or the end of the body, or a full 4 KiB buffer) before it
 // returns the line's first record.
 type RecordDecoder struct {
-	r   *bufio.Reader
-	dec *json.Decoder // set at the first line off the fast path
+	r      *bufio.Reader
+	fast   bool          // a record was decoded on the fast path
+	dec    *json.Decoder // set at the first line off the fast path
+	capped *cappedReader // the fallback's input
 }
 
 // NewRecordDecoder returns a decoder reading from r.
 func NewRecordDecoder(r io.Reader) *RecordDecoder {
-	return &RecordDecoder{r: bufio.NewReader(r)}
+	return &RecordDecoder{r: bufio.NewReaderSize(r, fastLineBytes)}
 }
 
 // Decode stores the next record in *rec, which it zeroes first, and
@@ -98,17 +115,46 @@ func (d *RecordDecoder) Decode(rec *TaskRecord) error {
 	if d.dec == nil {
 		line, err := d.r.ReadSlice('\n')
 		if err == nil && parseRecord(line[:len(line)-1], rec) {
+			d.fast = true
 			return nil
 		}
 		if err == io.EOF && len(line) == 0 {
 			return io.EOF
 		}
 		*rec = TaskRecord{}
-		// ReadSlice has consumed the line; replay it ahead of the rest.
-		d.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), d.r))
+		// ReadSlice has consumed the line, and the fast path the '\n'
+		// ending the previous record; replay both ahead of the rest, so
+		// the fallback's offsets start where the previous record ended.
+		var replay []byte
+		if d.fast {
+			replay = append(replay, '\n')
+		}
+		replay = append(replay, line...)
+		d.capped = &cappedReader{r: io.MultiReader(bytes.NewReader(replay), d.r)}
+		d.dec = json.NewDecoder(d.capped)
 		d.dec.DisallowUnknownFields()
 	}
+	d.capped.max = d.dec.InputOffset() + MaxRecordBytes
 	return d.dec.Decode(rec)
+}
+
+// cappedReader passes reads through until its offset reaches max, then
+// fails with ErrRecordTooLong.
+type cappedReader struct {
+	r        io.Reader
+	off, max int64
+}
+
+func (c *cappedReader) Read(p []byte) (int, error) {
+	if c.off >= c.max {
+		return 0, ErrRecordTooLong
+	}
+	if room := c.max - c.off; int64(len(p)) > room {
+		p = p[:room]
+	}
+	n, err := c.r.Read(p)
+	c.off += int64(n)
+	return n, err
 }
 
 // parseRecord parses one fast-path line, without its '\n', into *rec.

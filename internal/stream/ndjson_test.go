@@ -29,11 +29,29 @@ func decodeAll(decode func(*TaskRecord) error) ([]TaskRecord, error) {
 }
 
 // strictDecoder is the reference: encoding/json as the ingestion
-// endpoint configured it before RecordDecoder.
+// endpoint configured it before RecordDecoder, with the record cap
+// applied on its own terms. It reads the body up front, then decodes
+// each record with a fresh json.Decoder that sees the body from the end
+// of the previous record for at most MaxRecordBytes, followed by
+// ErrRecordTooLong if the body goes on that far, else by the body's own
+// end (io.EOF or its read error).
 func strictDecoder(r io.Reader) func(*TaskRecord) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return func(rec *TaskRecord) error { return dec.Decode(rec) }
+	body, readErr := io.ReadAll(r)
+	if readErr == nil {
+		readErr = io.EOF
+	}
+	off := 0
+	return func(rec *TaskRecord) error {
+		rest, end := body[off:], readErr
+		if len(rest) >= MaxRecordBytes {
+			rest, end = rest[:MaxRecordBytes], ErrRecordTooLong
+		}
+		dec := json.NewDecoder(io.MultiReader(bytes.NewReader(rest), iotest.ErrReader(end)))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(rec)
+		off += int(dec.InputOffset())
+		return err
+	}
 }
 
 // checkSameAsJSON requires RecordDecoder to give the reference's records
@@ -100,7 +118,12 @@ var recordSeeds = []string{
 	`{"id":1` + "\n",                                                // truncated object
 	`{"id":1}` + "\n" + `{"nam`,                                     // truncated input
 	`[1,2]` + "\n" + `{"id":1}` + "\n",                              // not an object
-	`{"name":"` + strings.Repeat("x", 5000) + `","nodes":1}` + "\n" + `{"id":2}` + "\n", // line over 4 KiB
+	`{"name":"` + strings.Repeat("x", 5000) + `","nodes":1}` + "\n" + `{"id":2}` + "\n",                     // line over 4 KiB
+	`{"id":1}` + "\n" + `{"name":"` + strings.Repeat("x", MaxRecordBytes) + `"}` + "\n" + `{"id":3}` + "\n", // record over the cap
+	`{"id":1}` + "\n" + `{"name":"` + strings.Repeat("x", MaxRecordBytes-12) + `"}` + "\n",                  // record of exactly the cap
+	`{"id":1}` + "\n" + `{"name":"` + strings.Repeat("x", MaxRecordBytes-11) + `"}` + "\n",                  // one byte over the cap
+	strings.Repeat(" ", MaxRecordBytes) + `{"id":1}` + "\n",                                                 // leading space over the cap
+	`{"name":"` + strings.Repeat("x", MaxRecordBytes) + `"`,                                                 // truncated over the cap
 }
 
 func FuzzRecordDecoder(f *testing.F) {

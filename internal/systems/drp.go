@@ -125,15 +125,17 @@ func runDRPHTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) fun
 	owners := make([]string, 0, len(wl.Jobs))
 	completed := new(int)
 	leases := make([]drpLease, len(wl.Jobs))
-	engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
+	for i := range wl.Jobs {
 		j := &wl.Jobs[i]
 		owner := fmt.Sprintf("%s/u%d", wl.Name, j.ID)
 		owners = append(owners, owner)
 		l := &leases[i]
 		*l = drpLease{engine: engine, prov: prov, owner: owner, j: j, completed: completed}
 		l.fn = l.fire
-		return j.Submit, l.fn
-	})
+	}
+	engine.ScheduleBatch(len(leases),
+		func(i int) sim.Time { return leases[i].j.Submit },
+		func(i int) { leases[i].fire() })
 	return func() ProviderAgg {
 		return ProviderAgg{
 			Name:      wl.Name,

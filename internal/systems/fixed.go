@@ -165,16 +165,15 @@ func (s Servers) Aggs(t sim.Time, owned bool) []ProviderAgg {
 }
 
 // startAndFeedHTC starts the server at the workload's first submission and
-// schedules every job submission on the virtual clock in one pre-sized
-// batch.
+// schedules every job submission on the virtual clock in one batch.
 func startAndFeedHTC(engine *sim.Engine, srv *tre.Server, wl *Workload) error {
 	if err := startAt(engine, wl.FirstSubmit(), srv.Start); err != nil {
 		return err
 	}
-	engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
-		j := &wl.Jobs[i]
-		return j.Submit, func() { srv.Submit(j) }
-	})
+	jobs := wl.Jobs
+	engine.ScheduleBatch(len(jobs),
+		func(i int) sim.Time { return jobs[i].Submit },
+		func(i int) { srv.Submit(&jobs[i]) })
 	return nil
 }
 

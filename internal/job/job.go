@@ -108,24 +108,77 @@ func CloneAll(jobs []Job) []Job {
 
 // ValidateAll checks every job in a workload and that IDs are unique.
 func ValidateAll(jobs []Job) error {
-	seen := make(map[int]bool, len(jobs))
+	seen := newIDSet(jobs)
 	for i := range jobs {
 		if err := jobs[i].Validate(); err != nil {
 			return err
 		}
-		if seen[jobs[i].ID] {
+		if !seen.add(jobs[i].ID) {
 			return fmt.Errorf("duplicate job ID %d", jobs[i].ID)
 		}
-		seen[jobs[i].ID] = true
 	}
 	for i := range jobs {
 		for _, d := range jobs[i].Deps {
-			if !seen[d] {
+			if !seen.has(d) {
 				return fmt.Errorf("job %d: dependency %d not in workload", jobs[i].ID, d)
 			}
 		}
 	}
 	return nil
+}
+
+// idSet is the set of job IDs ValidateAll has seen. When the workload's
+// IDs span fewer than 64 values per job, as generated and parsed traces'
+// do, it is a bitset indexed by ID-lo, at most one word per job;
+// otherwise a map. Either way it costs O(len(jobs)) memory.
+type idSet struct {
+	lo   int
+	bits []uint64
+	m    map[int]bool
+}
+
+func newIDSet(jobs []Job) idSet {
+	if len(jobs) == 0 {
+		return idSet{}
+	}
+	lo, hi := jobs[0].ID, jobs[0].ID
+	for i := range jobs {
+		lo = min(lo, jobs[i].ID)
+		hi = max(hi, jobs[i].ID)
+	}
+	// hi-lo in uint64 is exact even when it overflows int.
+	if width := uint64(hi) - uint64(lo); width < 64*uint64(len(jobs)) {
+		return idSet{lo: lo, bits: make([]uint64, width/64+1)}
+	}
+	return idSet{m: make(map[int]bool, len(jobs))}
+}
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id int) bool {
+	if s.bits == nil {
+		if s.m[id] {
+			return false
+		}
+		s.m[id] = true
+		return true
+	}
+	k := uint64(id) - uint64(s.lo)
+	w, b := k/64, uint64(1)<<(k%64)
+	if s.bits[w]&b != 0 {
+		return false
+	}
+	s.bits[w] |= b
+	return true
+}
+
+// has reports whether id was added. An id outside [lo, hi] has an offset
+// above hi-lo (mod 2^64), whose bit is never set or lies past the bitset.
+func (s *idSet) has(id int) bool {
+	if s.bits == nil {
+		return s.m[id]
+	}
+	k := uint64(id) - uint64(s.lo)
+	return k/64 < uint64(len(s.bits)) && s.bits[k/64]&(1<<(k%64)) != 0
 }
 
 // SortBySubmit orders jobs by (Submit, ID) in place.

@@ -1,6 +1,8 @@
 package job
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -61,6 +63,158 @@ func TestValidateAll(t *testing.T) {
 	if err := ValidateAll(dangling); err == nil {
 		t.Error("ValidateAll with dangling dependency succeeded")
 	}
+}
+
+// validateAllMap is ValidateAll with a map for every workload: the
+// oracle the table tests and FuzzValidateAll compare against.
+func validateAllMap(jobs []Job) error {
+	seen := make(map[int]bool, len(jobs))
+	for i := range jobs {
+		if err := jobs[i].Validate(); err != nil {
+			return err
+		}
+		if seen[jobs[i].ID] {
+			return fmt.Errorf("duplicate job ID %d", jobs[i].ID)
+		}
+		seen[jobs[i].ID] = true
+	}
+	for i := range jobs {
+		for _, d := range jobs[i].Deps {
+			if !seen[d] {
+				return fmt.Errorf("job %d: dependency %d not in workload", jobs[i].ID, d)
+			}
+		}
+	}
+	return nil
+}
+
+// sameError reports whether two errors are both nil or carry the same text.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+// TestValidateAllMatchesMapOracle runs ValidateAll over dense, sparse,
+// negative and extreme ID shapes and checks it returns the map oracle's
+// first error (or nil), and that the bitset serves exactly the dense
+// shapes.
+func TestValidateAllMatchesMapOracle(t *testing.T) {
+	const lo, hi = math.MinInt, math.MaxInt
+	dense := make([]Job, 100)
+	for i := range dense {
+		dense[i] = Job{ID: 100 - i, Nodes: 1}
+		if i > 0 {
+			dense[i].Deps = []int{100}
+		}
+	}
+	// 10 jobs whose IDs span 649 values, past the table's 640.
+	wide := make([]Job, 10)
+	for i := range wide {
+		wide[i] = Job{ID: i * 72, Nodes: 1}
+	}
+	tests := []struct {
+		name  string
+		jobs  []Job
+		table bool
+		want  string
+	}{
+		{"empty", nil, false, ""},
+		{"single", []Job{{ID: 7, Nodes: 1}}, true, ""},
+		{"dense reversed with deps", dense, true, ""},
+		{"dense duplicate", []Job{{ID: 1, Nodes: 1}, {ID: 3, Nodes: 1}, {ID: 2, Nodes: 1}, {ID: 3, Nodes: 1}}, true,
+			"duplicate job ID 3"},
+		{"negative dense", []Job{{ID: -3, Nodes: 1}, {ID: -1, Nodes: 1, Deps: []int{-3}}, {ID: -2, Nodes: 1, Deps: []int{-4}}}, true,
+			"job -2: dependency -4 not in workload"},
+		{"span 63 per job", []Job{{ID: 0, Nodes: 1}, {ID: 127, Nodes: 1, Deps: []int{0}}}, true, ""},
+		{"span 64 per job", []Job{{ID: 0, Nodes: 1}, {ID: 128, Nodes: 1, Deps: []int{64}}}, false,
+			"job 128: dependency 64 not in workload"},
+		{"wide", wide, false, ""},
+		{"sparse duplicate", []Job{{ID: 1 << 40, Nodes: 1}, {ID: 5, Nodes: 1}, {ID: 1 << 40, Nodes: 1}}, false,
+			"duplicate job ID 1099511627776"},
+		{"near MinInt", []Job{{ID: lo + 2, Nodes: 1}, {ID: lo, Nodes: 1, Deps: []int{lo + 2}}, {ID: lo + 1, Nodes: 1, Deps: []int{hi}}}, true,
+			fmt.Sprintf("job %d: dependency %d not in workload", lo+1, hi)},
+		{"near MaxInt", []Job{{ID: hi, Nodes: 1, Deps: []int{hi - 1}}, {ID: hi - 1, Nodes: 1, Deps: []int{lo}}}, true,
+			fmt.Sprintf("job %d: dependency %d not in workload", hi-1, lo)},
+		{"MinInt and MaxInt", []Job{{ID: lo, Nodes: 1, Deps: []int{hi}}, {ID: hi, Nodes: 1, Deps: []int{lo}}}, false, ""},
+		{"dep one below the range", []Job{{ID: 10, Nodes: 1}, {ID: 11, Nodes: 1, Deps: []int{9}}}, true,
+			"job 11: dependency 9 not in workload"},
+		{"dep one above the range", []Job{{ID: 10, Nodes: 1, Deps: []int{12}}, {ID: 11, Nodes: 1}}, true,
+			"job 10: dependency 12 not in workload"},
+		{"dep far outside the range", []Job{{ID: 10, Nodes: 1, Deps: []int{10 + 64}}, {ID: 11, Nodes: 1}}, true,
+			"job 10: dependency 74 not in workload"},
+		{"invalid job before the first duplicate", []Job{{ID: 1, Nodes: 1}, {ID: 2, Nodes: 0}, {ID: 1, Nodes: 1}}, true,
+			"job 2: nodes 0 < 1"},
+		{"invalid job after the first duplicate", []Job{{ID: 1, Nodes: 1}, {ID: 1, Nodes: 1}, {ID: 2, Runtime: -1, Nodes: 1}}, true,
+			"duplicate job ID 1"},
+		{"self dependency before a dangling one", []Job{{ID: 1, Nodes: 1, Deps: []int{5}}, {ID: 2, Nodes: 1, Deps: []int{2}}}, true,
+			"job 2: depends on itself"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got, want := ValidateAll(tt.jobs), validateAllMap(tt.jobs)
+			if !sameError(got, want) {
+				t.Fatalf("ValidateAll = %v, map oracle = %v", got, want)
+			}
+			msg := ""
+			if got != nil {
+				msg = got.Error()
+			}
+			if msg != tt.want {
+				t.Errorf("ValidateAll = %v, want %q", got, tt.want)
+			}
+			if s := newIDSet(tt.jobs); (s.bits != nil) != tt.table {
+				t.Errorf("bitset used = %v, want %v", s.bits != nil, tt.table)
+			}
+		})
+	}
+}
+
+// FuzzValidateAll builds a workload from the fuzzer's bytes, three per
+// job, and checks ValidateAll returns the map oracle's first error (or
+// nil) for it. IDs are base + int8 offset × stride with wrapping
+// arithmetic, so base and stride pick dense, sparse, negative,
+// duplicated and MinInt/MaxInt-straddling shapes; each job's flag byte
+// makes it invalid (zero nodes, negative runtime) or gives it a
+// dependency inside or outside the ID range, or on itself.
+func FuzzValidateAll(f *testing.F) {
+	f.Add(int64(1), int64(1), []byte{0, 0, 0, 1, 2, 0, 2, 2, 1})
+	f.Add(int64(1), int64(1), []byte{0, 0, 0, 1, 0, 0, 1, 1, 0, 2, 0, 0})
+	f.Add(int64(-50), int64(1), []byte{5, 0, 0, 9, 2, 200, 3, 4, 1})
+	f.Add(int64(7), int64(1)<<40, []byte{0, 0, 0, 1, 2, 0, 2, 2, 3, 1, 0, 0})
+	f.Add(int64(math.MinInt64)+3, int64(1), []byte{0, 0, 0, 0xfd, 2, 0x80, 1, 4, 0x7f, 2, 0, 0})
+	f.Add(int64(math.MaxInt64)-3, int64(1), []byte{0, 0, 0, 3, 2, 0x7f, 0xff, 6, 4, 1, 0, 0})
+	f.Add(int64(0), int64(math.MaxInt64/4), []byte{0x80, 0, 0, 0x7f, 2, 0x80, 1, 0, 0})
+	f.Add(int64(1), int64(1), []byte{0, 0, 0, 1, 1, 0, 0, 0, 0})
+	f.Add(int64(1), int64(1), []byte{0, 0, 0, 0, 0, 0, 1, 8, 0})
+	f.Add(int64(1), int64(3), []byte{0, 4, 0, 1, 4, 0xff, 2, 2, 9})
+	f.Fuzz(func(t *testing.T, base, stride int64, data []byte) {
+		id := func(off byte) int { return int(base) + int(int8(off))*int(stride) }
+		var jobs []Job
+		for i := 0; i+2 < len(data); i += 3 {
+			j := Job{ID: id(data[i]), Nodes: 1, Runtime: 1}
+			flags, dep := data[i+1], data[i+2]
+			if flags&1 != 0 {
+				j.Nodes = 0
+			}
+			if flags&8 != 0 {
+				j.Runtime = -1
+			}
+			switch flags >> 1 & 3 {
+			case 1: // another job's ID, or one outside the range
+				j.Deps = []int{id(dep)}
+			case 2: // near this job's own ID, itself included
+				j.Deps = []int{j.ID + int(int8(dep))}
+			case 3:
+				j.Deps = []int{id(dep), j.ID + int(int8(dep))}
+			}
+			jobs = append(jobs, j)
+		}
+		if got, want := ValidateAll(jobs), validateAllMap(jobs); !sameError(got, want) {
+			t.Fatalf("ValidateAll = %v, map oracle = %v", got, want)
+		}
+	})
 }
 
 func TestNodeSeconds(t *testing.T) {

@@ -22,9 +22,10 @@ const (
 	defaultMTCRatio   = 8
 )
 
-// Compiled is a spec lowered to the comparison harness's inputs. The
-// workload slice is the engine's shared base copy; every run clones the
-// slice before simulating.
+// Compiled is a spec lowered to the comparison harness's inputs. Every
+// cell of a run reads the same workloads and job slices without copying
+// them, concurrently when the run has several workers, so nothing may
+// write to them once Compile returns.
 type Compiled struct {
 	Spec      *Spec
 	Workloads []systems.Workload

@@ -229,7 +229,7 @@ func (e *engine) run(ctx context.Context, c cell) (systems.Result, error) {
 	return v.(systems.Result), nil
 }
 
-// simulate builds the cell's isolated workload set and runs it through
+// simulate builds the cell's workload set and runs it through
 // the registered system runner, or through the streamed path when the
 // spec asks for it.
 func (e *engine) simulate(ctx context.Context, c cell) (systems.Result, error) {
@@ -254,9 +254,10 @@ func (e *engine) simulate(ctx context.Context, c cell) (systems.Result, error) {
 	return res, nil
 }
 
-// cellWorkloads builds the cell's isolated workload set: a clone of the
-// provider prefix, or the grid cell's single provider with overridden
-// policy knobs.
+// cellWorkloads returns the cell's workload set: the provider prefix, or
+// the grid cell's single provider with overridden policy knobs. Cells
+// share the compiled job slices, which every runner treats as read-only;
+// a grid cell copies only the Workload struct, whose Params is a value.
 func (e *engine) cellWorkloads(c cell) ([]systems.Workload, error) {
 	if c.grid != nil {
 		base, ok := e.c.workloadByName(c.grid.provider)
@@ -264,12 +265,12 @@ func (e *engine) cellWorkloads(c cell) ([]systems.Workload, error) {
 			return nil, fmt.Errorf("scenario %s: sweep provider %q missing after compile",
 				e.c.Spec.Name, c.grid.provider)
 		}
-		wl := base.Clone()
+		wl := *base
 		wl.Params.InitialNodes = c.grid.b
 		wl.Params.ThresholdRatio = c.grid.r
 		return []systems.Workload{wl}, nil
 	}
-	return systems.CloneWorkloads(e.c.Workloads[:c.providers]), nil
+	return e.c.Workloads[:c.providers:c.providers], nil
 }
 
 func (c *Compiled) workloadByName(name string) (*systems.Workload, bool) {

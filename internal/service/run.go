@@ -422,8 +422,10 @@ func (r *Run) finishAs(forced Status, res any, err error, onlyQueued bool, gen i
 	close(r.wake)
 	r.wake = make(chan struct{})
 	cancel := r.cancel
-	r.mu.Unlock()
+	// Close done before unlocking, so whoever has seen the terminal
+	// status or the end of an event stream also sees Done closed.
 	close(r.done)
+	r.mu.Unlock()
 	cancel(nil) // release the context's resources
 	r.svc.retire(r, st, res, err)
 	return true

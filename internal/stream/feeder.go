@@ -41,20 +41,23 @@ type Action struct {
 	Run   func()
 }
 
-// record is the Feeder's internal unit: deliver run at time at, raising
-// the lookahead by delta.
+// record is the Feeder's internal unit: at time at, hand job to the
+// lane's deliver (job lanes) or call run (action lanes), raising the
+// lookahead by delta.
 type record struct {
 	at    sim.Time
 	delta sim.Time
+	job   *job.Job
 	run   func()
 }
 
 // lane is one ordered stream of records with an optional start hook
 // issued immediately before its first record.
 type lane struct {
-	name  string
-	next  func() (record, error) // io.EOF ends the lane
-	start func(first sim.Time)
+	name    string
+	next    func() (record, error) // io.EOF ends the lane
+	start   func(first sim.Time)
+	deliver func(*job.Job) // nil on action lanes
 
 	peek      record
 	hasPeek   bool
@@ -99,6 +102,12 @@ func NewFeeder(engine *sim.Engine, opts Options) *Feeder {
 	return f
 }
 
+// jobBlock is how many pulled jobs a job lane copies into one
+// allocation. A block stays reachable until its last job is released,
+// so it trades one allocation per job for holding up to this many
+// finished jobs beside each live one.
+const jobBlock = 64
+
 // AddJobs registers a job lane: each pulled job is copied and delivered
 // at its submit time. start, if non-nil, runs during the first round
 // that pulls a record, receiving the first job's submit time — issue the
@@ -109,9 +118,11 @@ func (f *Feeder) AddJobs(name string, src Source, start func(first sim.Time), de
 	}
 	seeded := false
 	var lastSubmit int64
+	var block []job.Job
 	f.lanes = append(f.lanes, &lane{
-		name:  name,
-		start: start,
+		name:    name,
+		start:   start,
+		deliver: deliver,
 		next: func() (record, error) {
 			j, err := src.Next()
 			if err != nil {
@@ -121,8 +132,11 @@ func (f *Feeder) AddJobs(name string, src Source, start func(first sim.Time), de
 				return record{}, err
 			}
 			seeded, lastSubmit = true, j.Submit
-			cp := j
-			return record{at: sim.Time(j.Submit), delta: sim.Time(j.Runtime), run: func() { deliver(&cp) }}, nil
+			if len(block) == cap(block) {
+				block = make([]job.Job, 0, jobBlock)
+			}
+			block = append(block, j)
+			return record{at: sim.Time(j.Submit), delta: sim.Time(j.Runtime), job: &block[len(block)-1]}, nil
 		},
 	})
 	return nil
@@ -229,15 +243,21 @@ func (f *Feeder) refill() {
 				ln.start(ln.buf[0].at)
 			}
 		}
-		buf := ln.buf
+		buf, deliver := ln.buf, ln.deliver
 		f.engine.ScheduleBatch(len(buf),
 			func(i int) sim.Time { return buf[i].at },
 			func(i int) {
 				f.resident--
 				f.delivered++
-				buf[i].run()
+				if deliver != nil {
+					deliver(buf[i].job)
+				} else {
+					buf[i].run()
+				}
 			})
-		ln.buf = nil
+		// The batch keeps buf until its last record fires; the next
+		// round fills a fresh buffer sized like this one.
+		ln.buf = make([]record, 0, len(buf))
 	}
 	for _, ln := range f.lanes {
 		if !ln.eof || ln.hasPeek {

@@ -36,6 +36,7 @@ type Gen struct {
 	rng  *rand.Rand
 	next int64
 	i    int
+	name [24]byte // reused buffer for building job names
 }
 
 // NewGen creates a generator source from cfg.
@@ -57,7 +58,7 @@ func (g *Gen) Next() (job.Job, error) {
 	g.i++
 	j := job.Job{
 		ID:      g.i,
-		Name:    "gen-" + strconv.Itoa(g.i),
+		Name:    string(strconv.AppendInt(append(g.name[:0], "gen-"...), int64(g.i), 10)),
 		Class:   job.HTC,
 		Submit:  g.next,
 		Runtime: 1 + g.rng.Int63n(g.cfg.MaxRuntime),

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/job"
 )
@@ -98,16 +99,39 @@ func (m *Model) Validate() error {
 	if len(m.SizeWeights) == 0 {
 		return fmt.Errorf("synth %s: no size weights", m.Name)
 	}
+	var total float64
 	for _, sw := range m.SizeWeights {
 		if sw.Nodes <= 0 || sw.Nodes > m.MachineNodes {
 			return fmt.Errorf("synth %s: size %d outside [1,%d]", m.Name, sw.Nodes, m.MachineNodes)
 		}
-		if sw.Weight < 0 {
-			return fmt.Errorf("synth %s: negative weight for size %d", m.Name, sw.Nodes)
+		if !weightOK(sw.Weight) {
+			return fmt.Errorf("synth %s: size weight %g for size %d, want finite and >= 0", m.Name, sw.Weight, sw.Nodes)
 		}
+		total += sw.Weight
+	}
+	if !(total > 0 && weightOK(total)) {
+		return fmt.Errorf("synth %s: size weights sum to %g, want finite and > 0", m.Name, total)
+	}
+	for h, w := range m.DailyCycle {
+		if !weightOK(w) {
+			return fmt.Errorf("synth %s: daily cycle weight %g for hour %d, want finite and >= 0", m.Name, w, h)
+		}
+	}
+	for i, w := range m.WeekFactors {
+		if !weightOK(w) {
+			return fmt.Errorf("synth %s: week factor %g for week %d, want finite and >= 0", m.Name, w, i+1)
+		}
+	}
+	if _, arrivals := m.arrivalWeights(); !(arrivals > 0 && weightOK(arrivals)) {
+		return fmt.Errorf("synth %s: daily cycle and week factors give the %d-day trace arrival weight %g, want finite and > 0",
+			m.Name, m.Days, arrivals)
 	}
 	return nil
 }
+
+// weightOK reports whether w can serve as a relative weight: finite and
+// not negative. NaN fails.
+func weightOK(w float64) bool { return w >= 0 && w <= math.MaxFloat64 }
 
 // Span is the trace length in seconds.
 func (m *Model) Span() int64 { return int64(m.Days) * 24 * 3600 }
@@ -139,11 +163,17 @@ func (m *Model) Generate() ([]job.Job, error) {
 	// realized node-seconds get close to the target (the RNG is reseeded
 	// each round, so the trace is deterministic in (Seed, scale)). Heavy
 	// runtime tails make this converge only roughly, so a second stage
-	// rescales runtimes by a bounded factor for an exact match.
+	// rescales runtimes by a bounded factor for an exact match. Every
+	// round redraws into one buffer, sized for the expected count plus
+	// four standard deviations of its Poisson total and the two
+	// full-size jobs.
 	scale := 1.0
 	var jobs []job.Job
+	if expectJobs > 0 && expectJobs <= maxPresize {
+		jobs = make([]job.Job, 0, int(expectJobs+4*math.Sqrt(expectJobs))+2)
+	}
 	for iter := 0; iter < 8; iter++ {
-		jobs = m.generateOnce(expectJobs * scale)
+		jobs = m.generateOnce(jobs[:0], expectJobs*scale)
 		got := float64(job.TotalNodeSeconds(jobs))
 		if got == 0 {
 			scale *= 2
@@ -188,9 +218,12 @@ func (m *Model) Generate() ([]job.Job, error) {
 		}
 	}
 	job.SortBySubmit(jobs)
+	name := []byte(m.Name + "-")
+	prefix := len(name)
 	for i := range jobs {
 		jobs[i].ID = i + 1
-		jobs[i].Name = fmt.Sprintf("%s-%d", m.Name, i+1)
+		name = strconv.AppendInt(name[:prefix], int64(i+1), 10)
+		jobs[i].Name = string(name)
 	}
 	if err := job.ValidateAll(jobs); err != nil {
 		return nil, fmt.Errorf("synth %s: generated invalid workload: %w", m.Name, err)
@@ -198,42 +231,40 @@ func (m *Model) Generate() ([]job.Job, error) {
 	return jobs, nil
 }
 
-// generateOnce draws one trace with the given expected job count.
-func (m *Model) generateOnce(expectJobs float64) []job.Job {
-	rng := rand.New(rand.NewSource(m.Seed))
-	span := m.Span()
-
+// arrivalWeights returns the hourly arrival weights over the span, before
+// burst noise, and their sum.
+func (m *Model) arrivalWeights() ([]float64, float64) {
 	cycle := m.DailyCycle
-	flat := true
-	for _, w := range cycle {
-		if w != 0 {
-			flat = false
-			break
-		}
-	}
-	if flat {
+	if cycle == ([24]float64{}) {
 		for i := range cycle {
 			cycle[i] = 1
 		}
 	}
-
-	// Hourly arrival weights over the whole span.
-	hours := int(span / 3600)
-	weights := make([]float64, hours)
-	var totalW float64
-	for h := 0; h < hours; h++ {
+	weights := make([]float64, m.Span()/3600)
+	var total float64
+	for h := range weights {
 		w := cycle[h%24]
-		week := h / (24 * 7)
-		if week < len(m.WeekFactors) {
+		if week := h / (24 * 7); week < len(m.WeekFactors) {
 			w *= m.WeekFactors[week]
 		}
-		if m.BlockSigma > 0 && h%6 == 0 {
-			// One burst multiplier per 6-hour block; consumed below.
-			w *= 1 // placeholder: block noise applied after the loop
-		}
 		weights[h] = w
-		totalW += w
+		total += w
 	}
+	return weights, total
+}
+
+// maxPresize caps the job buffer Generate allocates before drawing; a
+// larger expected count grows the buffer by appending instead.
+const maxPresize = 1 << 24
+
+// generateOnce draws one trace with the given expected job count,
+// appending its jobs to jobs.
+func (m *Model) generateOnce(jobs []job.Job, expectJobs float64) []job.Job {
+	rng := rand.New(rand.NewSource(m.Seed))
+	span := m.Span()
+
+	weights, totalW := m.arrivalWeights()
+	hours := len(weights)
 	if m.BlockSigma > 0 {
 		// Apply a shared lognormal multiplier to each 6-hour block.
 		totalW = 0
@@ -246,7 +277,6 @@ func (m *Model) generateOnce(expectJobs float64) []job.Job {
 		}
 	}
 
-	var jobs []job.Job
 	maxRuntime := m.MaxRuntime
 	if maxRuntime == 0 {
 		maxRuntime = 24 * 3600

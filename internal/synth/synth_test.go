@@ -2,8 +2,10 @@ package synth
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/job"
 )
@@ -216,6 +218,73 @@ func TestGenerateRejectsInvalidModel(t *testing.T) {
 	m.Days = -1
 	if _, err := m.Generate(); err == nil {
 		t.Error("Generate accepted invalid model")
+	}
+}
+
+// TestGenerateRejectsDegenerateModels covers models whose arrival rate
+// is not a finite positive number: Validate must name the field, and
+// Generate must return that error instead of drawing Poisson counts
+// from a NaN rate forever. Each Generate runs under a deadline so a
+// regression fails instead of hanging the suite.
+func TestGenerateRejectsDegenerateModels(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*Model)
+		want   string
+	}{
+		{"zero size weights", func(m *Model) {
+			for i := range m.SizeWeights {
+				m.SizeWeights[i].Weight = 0
+			}
+		}, "size weights sum to 0, want finite and > 0"},
+		{"size weights summing past MaxFloat64", func(m *Model) {
+			for i := range m.SizeWeights {
+				m.SizeWeights[i].Weight = math.MaxFloat64
+			}
+		}, "size weights sum to +Inf"},
+		{"NaN size weight", func(m *Model) { m.SizeWeights[0].Weight = math.NaN() }, "size weight NaN for size 1"},
+		{"infinite size weight", func(m *Model) { m.SizeWeights[0].Weight = math.Inf(1) }, "size weight +Inf for size 1"},
+		{"negative daily cycle", func(m *Model) {
+			for h := range m.DailyCycle {
+				m.DailyCycle[h] = -1
+			}
+		}, "daily cycle weight -1 for hour 0"},
+		{"NaN daily cycle hour", func(m *Model) { m.DailyCycle[5] = math.NaN() }, "daily cycle weight NaN for hour 5"},
+		{"negative week factor", func(m *Model) { m.WeekFactors = []float64{1, -0.5} }, "week factor -0.5 for week 2"},
+		{"zero week factors", func(m *Model) { m.WeekFactors = []float64{0, 0} }, "daily cycle and week factors give the 14-day trace arrival weight 0"},
+		{"zero week factor over a one-week trace", func(m *Model) {
+			m.Days = 7
+			m.WeekFactors = []float64{0, 1}
+		}, "daily cycle and week factors give the 7-day trace arrival weight 0"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			m := NASAiPSC(1)
+			tt.mutate(m)
+			err := m.Validate()
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tt.want)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := m.Generate()
+				done <- err
+			}()
+			select {
+			case got := <-done:
+				if got == nil || got.Error() != err.Error() {
+					t.Errorf("Generate() error = %v, want %v", got, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Generate did not return within 10s")
+			}
+		})
+	}
+	// A week factor of zero still leaves the other week's arrivals.
+	m := NASAiPSC(1)
+	m.WeekFactors = []float64{0, 1}
+	if err := m.Validate(); err != nil {
+		t.Errorf("one quiet week rejected: %v", err)
 	}
 }
 

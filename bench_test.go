@@ -29,14 +29,14 @@ func printArtifact(a experiments.Artifact) {
 }
 
 // benchArtifact measures the full regeneration of one paper artifact.
-func benchArtifact(b *testing.B, produce func(s *experiments.Suite) (experiments.Artifact, error)) {
+func benchArtifact(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		suite := experiments.NewSuite(benchSeed)
-		a, err := produce(suite)
+		arts, err := experiments.NewSuite(benchSeed).ArtifactsByID(context.Background(), id)
 		if err != nil {
 			b.Fatal(err)
 		}
+		a := arts[0]
 		if i == 0 {
 			printArtifact(a)
 			reportValues(b, a)
@@ -68,49 +68,49 @@ func BenchmarkTable1UsageModels(b *testing.B) {
 
 // BenchmarkFigure9ParamSweepBLUE regenerates the BLUE B x R sweep.
 func BenchmarkFigure9ParamSweepBLUE(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure9(context.Background()) })
+	benchArtifact(b, "fig9")
 }
 
 // BenchmarkFigure10ParamSweepNASA regenerates the NASA B x R sweep.
 func BenchmarkFigure10ParamSweepNASA(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure10(context.Background()) })
+	benchArtifact(b, "fig10")
 }
 
 // BenchmarkFigure11ParamSweepMontage regenerates the Montage B x R sweep.
 func BenchmarkFigure11ParamSweepMontage(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure11(context.Background()) })
+	benchArtifact(b, "fig11")
 }
 
 // BenchmarkTable2NASA regenerates the NASA service-provider table.
 func BenchmarkTable2NASA(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Table2(context.Background()) })
+	benchArtifact(b, "table2")
 }
 
 // BenchmarkTable3BLUE regenerates the BLUE service-provider table.
 func BenchmarkTable3BLUE(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Table3(context.Background()) })
+	benchArtifact(b, "table3")
 }
 
 // BenchmarkTable4Montage regenerates the Montage service-provider table.
 func BenchmarkTable4Montage(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Table4(context.Background()) })
+	benchArtifact(b, "table4")
 }
 
 // BenchmarkFigure12TotalConsumption regenerates the resource provider's
 // total consumption comparison.
 func BenchmarkFigure12TotalConsumption(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure12(context.Background()) })
+	benchArtifact(b, "fig12")
 }
 
 // BenchmarkFigure13PeakConsumption regenerates the peak comparison.
 func BenchmarkFigure13PeakConsumption(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure13(context.Background()) })
+	benchArtifact(b, "fig13")
 }
 
 // BenchmarkFigure14AdjustmentOverhead regenerates the management-overhead
 // comparison.
 func BenchmarkFigure14AdjustmentOverhead(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure14(context.Background()) })
+	benchArtifact(b, "fig14")
 }
 
 // BenchmarkTCOAnalysis regenerates the Section 4.5.5 cost comparison.
@@ -185,14 +185,14 @@ func BenchmarkAblationProvisionPolicy(b *testing.B) {
 }
 
 // BenchmarkFullEvaluation regenerates every artifact in paper order, the
-// whole Section 4 in one measurement. The suite fans independent
-// simulations out over all CPUs; compare with BenchmarkFullEvaluationSerial
-// for the parallel speedup.
+// whole Section 4 in one measurement. Each study fans its simulation
+// cells out over all CPUs; compare with BenchmarkFullEvaluationSerial for
+// the parallel speedup.
 func BenchmarkFullEvaluation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		suite := experiments.NewSuite(benchSeed)
-		if _, err := suite.Artifacts(); err != nil {
+		if _, err := suite.ArtifactsByID(context.Background(), "all"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func BenchmarkFullEvaluationSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := experiments.NewSuite(benchSeed)
 		suite.Workers = 1
-		if _, err := suite.Artifacts(); err != nil {
+		if _, err := suite.ArtifactsByID(context.Background(), "all"); err != nil {
 			b.Fatal(err)
 		}
 	}

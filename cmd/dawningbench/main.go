@@ -8,11 +8,14 @@
 //	              |ext-scale|ext-backfill|ext-provision|extensions|kernel|partition]
 //	             [-seed N] [-days N] [-out DIR] [-workers N] [-json FILE]
 //
-// Independent simulations (the four system runs and every sweep grid
-// point) fan out over up to -workers concurrent workers; 0 uses all CPUs
-// and 1 restores the serial reference behaviour. Artifact content is
-// identical at any worker count. -progress streams run/cell/table events
-// to stderr; an interrupt (Ctrl-C) cancels in-flight simulations.
+// Each artifact formats the report of one scenario study (the paper
+// spec's four system runs, a provider's B×R grid, or the scale sweep);
+// each study a request needs runs once, and its simulation cells fan out
+// over up to -workers concurrent workers; 0 uses all CPUs and 1 restores
+// the serial reference behaviour. Artifact content is identical at any
+// worker count. -progress streams run/cell/table events, keyed by
+// scenario cell, to stderr; an interrupt (Ctrl-C) cancels in-flight
+// simulations.
 //
 // The kernel experiment is not a paper artifact: it drives one million
 // events through the fast indexed kernel and the refheap reference kernel
@@ -51,7 +54,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "workload generation seed")
 		days       = flag.Int("days", 14, "trace window in days (the paper uses 14)")
 		outDir     = flag.String("out", "", "directory for .txt/.svg artifacts (optional)")
-		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = all CPUs, 1 = serial)")
+		workers    = flag.Int("workers", 0, "max concurrent simulation cells per study (0 = all CPUs, 1 = serial)")
 		progress   = flag.Bool("progress", false, "stream run/cell/table progress events to stderr")
 		jsonOut    = flag.String("json", "", "write the kernel experiment's report as JSON to this file (e.g. BENCH_kernel.json)")
 	)

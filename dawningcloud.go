@@ -92,8 +92,6 @@ type (
 	Suite = experiments.Suite
 	// Artifact is one rendered table or figure.
 	Artifact = experiments.Artifact
-	// SweepPoint is one B×R parameter combination's outcome in a Sweep.
-	SweepPoint = experiments.SweepPoint
 	// Scenario is a declarative n-provider × m-system simulation spec
 	// (JSON, with validation and defaults).
 	Scenario = scenario.Spec

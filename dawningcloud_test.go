@@ -99,10 +99,11 @@ func TestTCOComparison(t *testing.T) {
 
 func TestNewSuiteProducesArtifacts(t *testing.T) {
 	s := NewSuite(11)
-	a, err := s.Table4(context.Background())
+	arts, err := s.ArtifactsByID(context.Background(), "table4")
 	if err != nil {
-		t.Fatalf("Table4: %v", err)
+		t.Fatalf("table4: %v", err)
 	}
+	a := arts[0]
 	if a.ID != "table4" || a.Text == "" {
 		t.Errorf("artifact = %+v", a)
 	}

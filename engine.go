@@ -474,6 +474,27 @@ func (e *Engine) RunAll(ctx context.Context, sys []string, workloads []Workload,
 	return results, nil
 }
 
+// SweepPoint is one B×R parameter combination's outcome in a Sweep. Both
+// performance quantities are recorded separately so a sweep surface never
+// splices incomparable units: Completed counts finished jobs (or workflow
+// tasks) and TasksPerSecond is the MTC throughput (zero for HTC
+// workloads).
+type SweepPoint struct {
+	B         int
+	R         float64
+	NodeHours float64
+	// Completed is the number of jobs (HTC) or workflow tasks (MTC)
+	// finished within the accounting window.
+	Completed int
+	// TasksPerSecond is the MTC throughput; it stays 0 for HTC
+	// workloads rather than standing in for a job count.
+	TasksPerSecond float64
+	// Perf is the metric the corresponding paper figure plots, chosen
+	// by workload class: Completed for HTC (Figures 9-10),
+	// TasksPerSecond for MTC (Figure 11).
+	Perf float64
+}
+
 // Sweep runs one system over the B×R policy grid for a single provider's
 // workload in isolation — the paper's parameter-tuning methodology,
 // generalized to any registered system. Grid points are independent

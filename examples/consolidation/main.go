@@ -14,18 +14,14 @@ import (
 )
 
 func main() {
-	ctx := context.Background()
 	suite := dawningcloud.NewSuite(42)
-
-	steps := []func(context.Context) (dawningcloud.Artifact, error){
-		suite.Table2, suite.Table3, suite.Table4,
-		suite.Figure12, suite.Figure13, suite.Figure14,
+	// All six artifacts format one run of the paper's evaluation.
+	arts, err := suite.ArtifactsByID(context.Background(),
+		"table2", "table3", "table4", "fig12", "fig13", "fig14")
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, step := range steps {
-		a, err := step(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, a := range arts {
 		fmt.Println(a.Text)
 		fmt.Printf("[%s]\n\n", a.PaperRef)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/stream"
+	"repro/internal/synth"
 	"repro/internal/systems"
 )
 
@@ -84,7 +85,7 @@ type SubmitRequest struct {
 	// (0 means 42, the paper's seed).
 	Seed int64
 	// Days is the suite trace window for Experiments requests
-	// (0 means 14, the paper's two weeks).
+	// (0 means 14, the paper's two weeks; at most 3,650, synth.MaxDays).
 	Days int
 }
 
@@ -435,6 +436,9 @@ func (e *Engine) buildSuiteRequest(req SubmitRequest, cfg runConfig) (service.Re
 	days := req.Days
 	if days == 0 {
 		days = 14
+	}
+	if days < 1 || days > synth.MaxDays {
+		return service.Request{}, fmt.Errorf("dawningcloud: submit experiments: days %d outside [1,%d]", days, synth.MaxDays)
 	}
 	ids, err := experiments.ExpandArtifactIDs(req.Experiments)
 	if err != nil {

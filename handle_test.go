@@ -395,6 +395,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown system", SubmitRequest{System: "warp", Workloads: []Workload{wl}}, `unknown system "warp"`},
 		{"no workloads", SubmitRequest{System: "DCS"}, "no workloads"},
 		{"unknown experiment", SubmitRequest{Experiments: []string{"table99"}}, `unknown experiment "table99"`},
+		{"experiments days above bound", SubmitRequest{Experiments: []string{"table1"}, Days: 3651}, "days 3651 outside [1,3650]"},
+		{"experiments days 2^30", SubmitRequest{Experiments: []string{"table1"}, Days: 1 << 30}, "days 1073741824 outside"},
+		{"experiments days overflow", SubmitRequest{Experiments: []string{"table1"}, Days: 106751991167301}, "days 106751991167301 outside"},
+		{"experiments negative days", SubmitRequest{Experiments: []string{"table1"}, Days: -1}, "days -1 outside"},
 	}
 	// Options that would be silently dropped are rejected instead: a
 	// WithSeed(7) suite submission must not be served another seed's

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/par"
+	"repro/internal/events"
+	"repro/internal/scenario"
 )
 
 // paperIDs are the paper's Section 4 artifacts in presentation order —
@@ -69,65 +70,74 @@ func ExpandArtifactIDs(ids []string) ([]string, error) {
 	return out, nil
 }
 
-// artifactStep resolves one artifact ID to its producing step.
-func (s *Suite) artifactStep(id string) (func(context.Context) (Artifact, error), bool) {
-	steps := map[string]func(context.Context) (Artifact, error){
-		"table1": func(context.Context) (Artifact, error) { return Table1(), nil },
-		"fig9":   s.Figure9,
-		"fig10":  s.Figure10,
-		"fig11":  s.Figure11,
-		"table2": s.Table2,
-		"table3": s.Table3,
-		"table4": s.Table4,
-		"fig12":  s.Figure12,
-		"fig13":  s.Figure13,
-		"fig14":  s.Figure14,
-		"tco":    func(context.Context) (Artifact, error) { return TCO() },
-		"ext-scale": func(ctx context.Context) (Artifact, error) {
-			return s.ScaleArtifact(ctx, 5)
-		},
-		"ext-backfill": func(ctx context.Context) (Artifact, error) {
-			return s.AblationBackfill(ctx, NASAProvider)
-		},
-		"ext-provision": func(ctx context.Context) (Artifact, error) {
-			return s.AblationProvision(ctx, NASAProvider, 160)
-		},
-	}
-	step, ok := steps[id]
-	return step, ok
+// step produces one artifact. Most format the report of the study that
+// study builds; run produces the rest, which read no study.
+type step struct {
+	study  func(*Suite) *scenario.Spec
+	format func(*scenario.Report) (Artifact, error)
+	run    func(context.Context, *Suite) (Artifact, error)
 }
 
-// ArtifactByID regenerates one artifact by ID.
-func (s *Suite) ArtifactByID(ctx context.Context, id string) (Artifact, error) {
-	step, ok := s.artifactStep(id)
-	if !ok {
-		return Artifact{}, fmt.Errorf("experiments: unknown experiment %q (known: %s)",
-			id, strings.Join(ArtifactIDs(), ", "))
-	}
-	return step(ctx)
+func gridStudy(provider int, ratios []float64) func(*Suite) *scenario.Spec {
+	return func(s *Suite) *scenario.Spec { return s.gridSpec(provider, ratios) }
+}
+
+// steps maps every artifact ID to its producing step.
+var steps = map[string]step{
+	"table1": {run: func(context.Context, *Suite) (Artifact, error) { return Table1(), nil }},
+	"fig9":   {study: gridStudy(blueIndex, SweepRatiosHTC), format: figure9},
+	"fig10":  {study: gridStudy(nasaIndex, SweepRatiosHTC), format: figure10},
+	"fig11":  {study: gridStudy(montageIndex, SweepRatiosMTC), format: figure11},
+	"table2": {study: (*Suite).paperSpec, format: table2},
+	"table3": {study: (*Suite).paperSpec, format: table3},
+	"table4": {study: (*Suite).paperSpec, format: table4},
+	"fig12":  {study: (*Suite).paperSpec, format: figure12},
+	"fig13":  {study: (*Suite).paperSpec, format: figure13},
+	"fig14":  {study: (*Suite).paperSpec, format: figure14},
+	"tco":    {run: func(context.Context, *Suite) (Artifact, error) { return TCO() }},
+	"ext-scale": {
+		study:  func(s *Suite) *scenario.Spec { return s.scaleSpec(scaleProviders) },
+		format: scaleArtifact,
+	},
+	"ext-backfill": {run: func(ctx context.Context, s *Suite) (Artifact, error) {
+		return s.AblationBackfill(ctx, NASAProvider)
+	}},
+	"ext-provision": {run: func(ctx context.Context, s *Suite) (Artifact, error) {
+		return s.AblationProvision(ctx, NASAProvider, 160)
+	}},
 }
 
 // ArtifactsByID regenerates the requested artifacts ("all" and
-// "extensions" expand; see ExpandArtifactIDs), fanning independent
-// steps out over the suite's worker pool while the suite-wide cache,
-// singleflight and semaphore keep total simulation work deduplicated
-// and bounded. Results come back in request order at any worker count.
+// "extensions" expand; see ExpandArtifactIDs) in request order. Each
+// distinct study runs once per call, studies run one after another, and
+// each runs at most Workers simulation cells at once, so artifacts are
+// identical at any worker count.
 func (s *Suite) ArtifactsByID(ctx context.Context, ids ...string) ([]Artifact, error) {
 	expanded, err := ExpandArtifactIDs(ids)
 	if err != nil {
 		return nil, err
 	}
+	reports := make(map[string]*scenario.Report)
 	out := make([]Artifact, len(expanded))
-	err = par.ForEach(s.workers(), len(expanded), func(i int) error {
-		a, err := s.ArtifactByID(ctx, expanded[i])
-		if err != nil {
-			return err
+	for i, id := range expanded {
+		st := steps[id]
+		if st.run != nil {
+			out[i], err = st.run(ctx, s)
+		} else {
+			spec := st.study(s)
+			rep := reports[spec.Name]
+			if rep == nil {
+				if rep, err = scenario.RunContext(ctx, spec, s.Workers, s.Events); err != nil {
+					return nil, fmt.Errorf("experiments: %s: %w", id, err)
+				}
+				reports[spec.Name] = rep
+			}
+			out[i], err = st.format(rep)
 		}
-		out[i] = a
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
+		s.Events.Emit(events.TableRendered{ID: out[i].ID, Title: out[i].Title})
 	}
 	return out, nil
 }

@@ -1,26 +1,29 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 4). A Suite fixes the workload construction — the
-// synthetic NASA iPSC and SDSC BLUE traces, the 1,000-task Montage
-// workflow, and the paper's chosen policy parameters — and produces each
-// artifact as structured data plus a rendered text form. The paper's
-// reported values are embedded so EXPERIMENTS.md and the bench harness can
-// print paper-vs-measured side by side.
+// evaluation (Section 4). Each artifact formats the report of one
+// scenario run (internal/scenario): Tables 2-4 and Figures 12-14 format
+// the paper spec's four-system comparison, Figures 9-11 each format one
+// provider's B×R grid sweep, and the economies-of-scale extension formats
+// a provider-count scale sweep. A Suite fixes the seed and window those
+// specs are built from. The paper's reported values are embedded so the
+// bench harness can print paper-vs-measured side by side.
+//
+// Workloads and RunAll are the independent oracle: they build the three
+// providers' workloads by hand and run them through the registered system
+// runners without going through scenario, so tests and the benchmark can
+// check the scenario pipeline against them. The two ablations also run
+// directly on those workloads, because EASY backfilling has no spec field.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/events"
 	"repro/internal/job"
-	"repro/internal/par"
 	"repro/internal/plot"
 	"repro/internal/policy"
 	"repro/internal/registry"
-	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/systems"
@@ -51,49 +54,29 @@ const (
 	MontageFixed = 166
 )
 
-// Suite fixes workloads and options for one reproduction run.
-//
-// A Suite is safe for concurrent use: RunAll, Sweep and Artifacts fan
-// their independent simulations out over a bounded worker pool, and the
-// cache/singleflight semantics live in a service.Group — the lock is
-// held only for the map check/fill (never across a simulation), and
-// identical in-flight runs are deduplicated so concurrent callers share
-// one simulation instead of racing to repeat it.
+// Suite fixes the seed and window of one reproduction run. It is safe for
+// concurrent use: a call keeps its study reports to itself, and only the
+// oracle's workloads are shared, built once.
 type Suite struct {
 	// Seed drives all synthetic generation.
 	Seed int64
-	// Days shortens the trace window (default 14, the paper's two
-	// weeks). Tests use smaller windows.
+	// Days is the trace window, 1 to synth.MaxDays days; NewSuite sets
+	// the paper's two weeks. Tests use smaller windows.
 	Days int
-	// Workers bounds how many simulations run concurrently across
-	// RunAll, Sweep and Artifacts. Zero means runtime.NumCPU(); one
-	// forces the serial reference behaviour. Set it before the first
-	// run.
+	// Workers bounds how many simulation cells of a study run at once.
+	// Zero means runtime.NumCPU(); one forces the serial reference
+	// behaviour. Artifacts are identical at any setting.
 	Workers int
-	// Partitions splits each simulation's providers onto per-core
-	// kernel partitions (see systems.Options.Partitions): 0 or 1 runs
-	// serially, negative means one partition per CPU. Results are
-	// byte-identical at any setting.
-	Partitions int
-	// Events receives the suite's progress stream (run started/completed
-	// and table rendered). The sink is called from worker goroutines and
-	// must be safe for concurrent use; nil discards events. Set it
-	// before the first run.
+	// Events receives the suite's progress stream: each study's
+	// scenario events (run started/completed and cell completed, keyed
+	// by scenario cell) and one table-rendered event per artifact. The
+	// sink is called from worker goroutines and must be safe for
+	// concurrent use; nil discards events.
 	Events events.Sink
 
 	workloadsOnce sync.Once
 	workloads     []systems.Workload
 	workloadsErr  error
-
-	mu  sync.Mutex
-	sem chan struct{} // bounds concurrent simulations suite-wide
-
-	// flight caches each system's result and deduplicates identical
-	// in-flight runs (the generalized singleflight shared with the
-	// scenario engine and the run service).
-	flight service.Group
-
-	simulations atomic.Int64
 }
 
 // NewSuite builds a suite with the paper's two-week window.
@@ -107,41 +90,18 @@ func NewQuickSuite(seed int64) *Suite {
 	return &Suite{Seed: seed, Days: 4}
 }
 
-// workers resolves the effective pool size.
-func (s *Suite) workers() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.NumCPU()
-}
-
-// simulate runs one simulation under a suite-wide semaphore slot and
-// counts it. The semaphore spans every fan-out (Artifacts over steps,
-// each step over systems or grid points), so nested parallelism never
-// exceeds Workers concurrent simulations in total.
-func (s *Suite) simulate(fn func() error) error {
-	s.mu.Lock()
-	if s.sem == nil {
-		s.sem = make(chan struct{}, s.workers())
-	}
-	sem := s.sem
-	s.mu.Unlock()
-	sem <- struct{}{}
-	defer func() { <-sem }()
-	s.simulations.Add(1)
-	return fn()
-}
-
-// Simulations reports how many full system simulations the suite has
-// executed (cache hits and deduplicated concurrent calls excluded).
-func (s *Suite) Simulations() int64 { return s.simulations.Load() }
-
 // Horizon is the accounting window.
 func (s *Suite) Horizon() sim.Time { return sim.Time(s.Days) * sim.Day }
 
-// Options returns the shared run options.
+// Options returns the run options the oracle and the ablations share.
 func (s *Suite) Options() systems.Options {
-	return systems.Options{Horizon: s.Horizon(), Provision: policy.GrantOrReject, Partitions: s.Partitions}
+	return systems.Options{Horizon: s.Horizon(), Provision: policy.GrantOrReject}
+}
+
+// montageAt submits the workflow mid-trace during a busy morning hour so
+// the consolidated peak reflects coexisting workloads.
+func (s *Suite) montageAt() sim.Time {
+	return sim.Time(s.Days/2)*sim.Day + 11*sim.Hour
 }
 
 // Workloads builds (once) the three service providers' workloads: two HTC
@@ -170,9 +130,6 @@ func (s *Suite) buildWorkloads() ([]systems.Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Montage: %w", err)
 	}
-	// Submit the workflow mid-trace during a busy morning hour so the
-	// consolidated peak reflects coexisting workloads.
-	montageAt := sim.Time(s.Days/2)*sim.Day + 11*sim.Hour
 	return []systems.Workload{
 		{
 			Name:       NASAProvider,
@@ -191,7 +148,7 @@ func (s *Suite) buildWorkloads() ([]systems.Workload, error) {
 		{
 			Name:       MontageProvider,
 			Class:      job.MTC,
-			Jobs:       dag.Jobs(montageAt),
+			Jobs:       dag.Jobs(s.montageAt()),
 			FixedNodes: MontageFixed,
 			Params:     policy.MTCDefaults(MontageInitial, MontageRatio),
 		},
@@ -202,34 +159,10 @@ func (s *Suite) buildWorkloads() ([]systems.Workload, error) {
 // order (registry.PaperSystems).
 var SystemNames = registry.PaperSystems()
 
-// Run simulates one system over the consolidated three-provider workload,
-// caching the result. See RunContext; Run uses the background context.
-func (s *Suite) Run(system string) (systems.Result, error) {
-	return s.RunContext(context.Background(), system) //dclint:allow ctxfirst -- documented non-ctx convenience wrapper over RunContext
-}
-
-// RunContext simulates one registered system over the consolidated
-// workload, caching the result. The cache/singleflight semantics come
-// from service.Group: the lock guards only the cache check/fill, never
-// a simulation; concurrent callers asking for the same system share one
-// in-flight run instead of repeating it; and a caller waiting on
-// another caller's in-flight run retries with its own context if that
-// run is abandoned by cancellation, so one caller's cancelled context
-// never poisons another's result.
-func (s *Suite) RunContext(ctx context.Context, system string) (systems.Result, error) {
-	v, err := s.flight.Do(ctx, system, func() (any, error) {
-		return s.runSystem(ctx, system)
-	})
-	if err != nil {
-		return systems.Result{}, err
-	}
-	return v.(systems.Result), nil
-}
-
-// runSystem executes one full simulation on a cloned workload set. The
-// baseline runners and core.Run only read their workloads, but cloning
-// makes the isolation unconditional: no concurrent run can observe
-// another's job slices no matter how a future runner evolves.
+// runSystem executes one full simulation of a registered system on a
+// cloned workload set. The runners only read their workloads, but cloning
+// makes the oracle's isolation unconditional: no concurrent run can
+// observe another's job slices no matter how a future runner evolves.
 func (s *Suite) runSystem(ctx context.Context, system string) (systems.Result, error) {
 	runner, canonical, err := registry.Default.Resolve(system)
 	if err != nil {
@@ -241,46 +174,29 @@ func (s *Suite) runSystem(ctx context.Context, system string) (systems.Result, e
 	}
 	opts := s.Options()
 	opts.Seed = s.Seed
-	var r systems.Result
-	err = s.simulate(func() (err error) {
-		s.Events.Emit(events.RunStarted{System: canonical, Providers: len(workloads)})
-		r, err = runner.Run(ctx, systems.CloneWorkloads(workloads), opts)
-		s.Events.Emit(events.RunCompleted{System: canonical, Err: err, TotalNodeHours: r.TotalNodeHours})
-		if err != nil {
-			return fmt.Errorf("experiments: run %s: %w", canonical, err)
-		}
-		return nil
-	})
+	r, err := runner.Run(ctx, systems.CloneWorkloads(workloads), opts)
 	if err != nil {
-		return systems.Result{}, err
+		return systems.Result{}, fmt.Errorf("experiments: run %s: %w", canonical, err)
 	}
 	return r, nil
 }
 
-// RunAll simulates the paper's four systems, fanning out over the worker
-// pool. See RunAllContext; RunAll uses the background context.
+// RunAll simulates the paper's four systems over the hand-built
+// workloads, one after another. See RunAllContext; RunAll uses the
+// background context.
 func (s *Suite) RunAll() (map[string]systems.Result, error) {
 	return s.RunAllContext(context.Background()) //dclint:allow ctxfirst -- documented non-ctx convenience wrapper over RunAllContext
 }
 
-// RunAllContext simulates the paper's four systems concurrently,
-// honoring cancellation end-to-end.
+// RunAllContext is RunAll with cancellation support.
 func (s *Suite) RunAllContext(ctx context.Context) (map[string]systems.Result, error) {
-	results := make([]systems.Result, len(SystemNames))
-	err := par.ForEach(s.workers(), len(SystemNames), func(i int) error {
-		r, err := s.RunContext(ctx, SystemNames[i])
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[string]systems.Result, len(SystemNames))
-	for i, name := range SystemNames {
-		out[name] = results[i]
+	for _, name := range SystemNames {
+		r, err := s.runSystem(ctx, name)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = r
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/scenario"
 )
 
 // The full two-week suite runs in well under a second, so the shape tests
@@ -48,7 +49,7 @@ func TestWorkloadsConstruction(t *testing.T) {
 }
 
 func TestRunUnknownSystem(t *testing.T) {
-	if _, err := shared.Run("VMS"); err == nil {
+	if _, err := shared.runSystem(context.Background(), "VMS"); err == nil {
 		t.Error("unknown system accepted")
 	}
 }
@@ -214,11 +215,11 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	for _, step := range []func(context.Context) (Artifact, error){shared.Table2, shared.Table3, shared.Table4} {
-		a, err := step(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+	arts, err := shared.ArtifactsByID(context.Background(), "table2", "table3", "table4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arts {
 		for _, system := range SystemNames {
 			if !strings.Contains(a.Text, system) {
 				t.Errorf("%s missing row for %s:\n%s", a.ID, system, a.Text)
@@ -234,11 +235,11 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestFiguresRender(t *testing.T) {
-	for _, step := range []func(context.Context) (Artifact, error){shared.Figure12, shared.Figure13, shared.Figure14} {
-		a, err := step(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+	arts, err := shared.ArtifactsByID(context.Background(), "fig12", "fig13", "fig14")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arts {
 		if !strings.Contains(a.SVG, "<svg") {
 			t.Errorf("%s has no SVG", a.ID)
 		}
@@ -273,10 +274,13 @@ func TestTCOMatchesPaper(t *testing.T) {
 // 166/80 stays under the threshold, so the TRE never expands — cheaper but
 // slower. The paper picks B10_R8 for exactly this reason.
 func TestSweepParameterEffects(t *testing.T) {
-	pts, err := shared.Sweep(MontageProvider, []int{10, 80}, []float64{8})
+	spec := shared.gridSpec(montageIndex, []float64{8})
+	spec.Sweep.Grid.B = []int{10, 80}
+	rep, err := scenario.Run(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := rep.Grid
 	if len(pts) != 2 {
 		t.Fatalf("points = %d, want 2", len(pts))
 	}
@@ -285,28 +289,33 @@ func TestSweepParameterEffects(t *testing.T) {
 		t.Errorf("B80 consumption %.0f not below B10 %.0f (no expansion expected)",
 			b80.NodeHours, b10.NodeHours)
 	}
-	if b80.Perf >= b10.Perf {
+	if b80.TasksPerSecond >= b10.TasksPerSecond {
 		t.Errorf("B80 tasks/s %.2f not below B10 %.2f (fewer nodes must be slower)",
-			b80.Perf, b10.Perf)
+			b80.TasksPerSecond, b10.TasksPerSecond)
 	}
 	for _, p := range pts {
-		if p.Perf < 0.5 || p.Perf > 4.0 {
-			t.Errorf("B%d R%g tasks/s = %.2f outside sane band", p.B, p.R, p.Perf)
+		if p.TasksPerSecond < 0.5 || p.TasksPerSecond > 4.0 {
+			t.Errorf("B%d R%g tasks/s = %.2f outside sane band", p.B, p.R, p.TasksPerSecond)
 		}
 	}
 }
 
+// TestSweepUnknownProvider: a grid study naming a provider the spec does
+// not declare fails validation instead of sweeping nothing.
 func TestSweepUnknownProvider(t *testing.T) {
-	if _, err := shared.Sweep("nobody", []int{10}, []float64{1}); err == nil {
+	spec := shared.gridSpec(nasaIndex, []float64{1})
+	spec.Sweep.Grid.Provider = "nobody"
+	if _, err := scenario.Run(spec, 1); err == nil {
 		t.Error("unknown provider accepted")
 	}
 }
 
 func TestFigure9SweepRendersAllPoints(t *testing.T) {
-	a, err := shared.Figure9(context.Background())
+	arts, err := shared.ArtifactsByID(context.Background(), "fig9")
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := arts[0]
 	wantPoints := len(SweepInitials) * len(SweepRatiosHTC)
 	count := 0
 	for k := range a.Values {
@@ -323,7 +332,7 @@ func TestFigure9SweepRendersAllPoints(t *testing.T) {
 }
 
 func TestArtifactsComplete(t *testing.T) {
-	arts, err := shared.Artifacts()
+	arts, err := shared.ArtifactsByID(context.Background(), "all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +353,7 @@ func TestArtifactsComplete(t *testing.T) {
 
 func TestQuickSuiteRuns(t *testing.T) {
 	q := NewQuickSuite(7)
-	r, err := q.Run("DawningCloud")
+	r, err := q.runSystem(context.Background(), "DawningCloud")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,16 +368,31 @@ func TestQuickSuiteRuns(t *testing.T) {
 func TestSuiteDeterminism(t *testing.T) {
 	a := NewSuite(123)
 	b := NewSuite(123)
-	ra, err := a.Run("DawningCloud")
+	ra, err := a.runSystem(context.Background(), "DawningCloud")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Run("DawningCloud")
+	rb, err := b.runSystem(context.Background(), "DawningCloud")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ra.TotalNodeHours != rb.TotalNodeHours || ra.PeakNodes != rb.PeakNodes {
 		t.Errorf("same seed produced different results: %.0f/%d vs %.0f/%d",
 			ra.TotalNodeHours, ra.PeakNodes, rb.TotalNodeHours, rb.PeakNodes)
+	}
+}
+
+// TestZeroDaysRejected: a suite without a window fails every study and
+// the oracle alike, instead of a study quietly running the two-week
+// default.
+func TestZeroDaysRejected(t *testing.T) {
+	s := &Suite{Seed: 42}
+	for _, id := range []string{"table2", "fig9", "ext-scale", "ext-backfill"} {
+		if _, err := s.ArtifactsByID(context.Background(), id); err == nil {
+			t.Errorf("%s ran with a zero-day window", id)
+		}
+	}
+	if _, err := s.RunAll(); err == nil {
+		t.Error("RunAll ran with a zero-day window")
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/job"
-	"repro/internal/par"
 	"repro/internal/plot"
 	"repro/internal/policy"
-	"repro/internal/synth"
+	"repro/internal/scenario"
 	"repro/internal/systems"
 )
 
@@ -17,78 +15,15 @@ import (
 // conclusion asks for "a more formal framework to model the generalized
 // case in that n resource provider provisions resources to m service
 // providers" and for investigating "the optimal resource management and
-// scheduling policies". ScaleStudy, AblationBackfill and AblationProvision
-// are concrete first steps on those questions using the same machinery.
+// scheduling policies". The scale study, AblationBackfill and
+// AblationProvision are concrete first steps on those questions using the
+// same machinery.
 
-// ScalePoint is one consolidation size's outcome.
-type ScalePoint struct {
-	Providers     int
-	DCSNodeHours  float64
-	DSPNodeHours  float64
-	SavedFraction float64
-	PeakNodes     int
-}
-
-// ScaleStudy grows the number of consolidated HTC service providers from 1
-// to n (each a distinct-seed NASA-like organization) and reports how the
-// resource provider's DSP savings evolve against per-organization
-// dedicated clusters: the economies-of-scale curve behind the paper's
-// title question.
-func (s *Suite) ScaleStudy(ctx context.Context, n int) ([]ScalePoint, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("experiments: scale study needs n >= 1")
-	}
-	opts := s.Options()
-	var out []ScalePoint
-	var workloads []systems.Workload
-	for i := 0; i < n; i++ {
-		model := synth.NASAiPSC(s.Seed + int64(100+i))
-		model.Days = s.Days
-		jobs, err := model.Generate()
-		if err != nil {
-			return nil, err
-		}
-		workloads = append(workloads, systems.Workload{
-			Name:       fmt.Sprintf("org-%02d", i+1),
-			Class:      job.HTC,
-			Jobs:       jobs,
-			FixedNodes: model.MachineNodes,
-			Params:     policy.HTCDefaults(NASAInitial, NASARatio),
-		})
-		var dcs, dsp systems.Result
-		runs := []func() error{
-			func() (err error) {
-				dcs, err = systems.Run(ctx, systems.DCS, systems.CloneWorkloads(workloads), opts)
-				return err
-			},
-			func() (err error) {
-				dsp, err = core.Run(ctx, systems.CloneWorkloads(workloads), core.Config{Options: opts})
-				return err
-			},
-		}
-		if err := s.runPair(runs); err != nil {
-			return nil, err
-		}
-		pt := ScalePoint{
-			Providers:    i + 1,
-			DCSNodeHours: dcs.TotalNodeHours,
-			DSPNodeHours: dsp.TotalNodeHours,
-			PeakNodes:    dsp.PeakNodes,
-		}
-		if pt.DCSNodeHours > 0 {
-			pt.SavedFraction = 1 - pt.DSPNodeHours/pt.DCSNodeHours
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// ScaleArtifact renders the scale study.
-func (s *Suite) ScaleArtifact(ctx context.Context, n int) (Artifact, error) {
-	points, err := s.ScaleStudy(ctx, n)
-	if err != nil {
-		return Artifact{}, err
-	}
+// scaleArtifact formats the scale study: how the resource provider's DSP
+// savings against per-organization dedicated clusters evolve as distinct-
+// seed NASA-like organizations consolidate one by one.
+func scaleArtifact(rep *scenario.Report) (Artifact, error) {
+	points := rep.Scale
 	xs := make([]string, len(points))
 	saved := make([]float64, len(points))
 	peaks := make([]float64, len(points))
@@ -124,18 +59,12 @@ func (s *Suite) AblationBackfill(ctx context.Context, provider string) (Artifact
 		return Artifact{}, err
 	}
 	opts := s.Options()
-	var ff, easy systems.Result
-	runs := []func() error{
-		func() (err error) {
-			ff, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts})
-			return err
-		},
-		func() (err error) {
-			easy, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts, EasyBackfill: true})
-			return err
-		},
+	ff, err := core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts})
+	if err != nil {
+		return Artifact{}, err
 	}
-	if err := s.runPair(runs); err != nil {
+	easy, err := core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts, EasyBackfill: true})
+	if err != nil {
 		return Artifact{}, err
 	}
 	pf, _ := ff.Provider(provider)
@@ -172,18 +101,12 @@ func (s *Suite) AblationProvision(ctx context.Context, provider string, capacity
 	strictOpts, effortOpts := opts, opts
 	strictOpts.Provision = policy.GrantOrReject
 	effortOpts.Provision = policy.BestEffort
-	var strict, effort systems.Result
-	runs := []func() error{
-		func() (err error) {
-			strict, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: strictOpts})
-			return err
-		},
-		func() (err error) {
-			effort, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: effortOpts})
-			return err
-		},
+	strict, err := core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: strictOpts})
+	if err != nil {
+		return Artifact{}, err
 	}
-	if err := s.runPair(runs); err != nil {
+	effort, err := core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: effortOpts})
+	if err != nil {
 		return Artifact{}, err
 	}
 	ps, _ := strict.Provider(provider)
@@ -207,14 +130,6 @@ func (s *Suite) AblationProvision(ctx context.Context, provider string, capacity
 			"effort_rejected":  float64(effort.RejectedRequests),
 		},
 	}, nil
-}
-
-// runPair executes an ablation's two independent simulations on the
-// worker pool, each under a suite semaphore slot.
-func (s *Suite) runPair(runs []func() error) error {
-	return par.ForEach(s.workers(), len(runs), func(i int) error {
-		return s.simulate(runs[i])
-	})
 }
 
 func (s *Suite) workloadByName(name string) (*systems.Workload, error) {

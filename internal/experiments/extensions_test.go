@@ -5,17 +5,26 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // Extensions run on the quick suite: a 4-day window keeps the scale study
 // fast while preserving the consolidation dynamics.
 var extSuite = NewQuickSuite(42)
 
-func TestScaleStudySavingsPersist(t *testing.T) {
-	points, err := extSuite.ScaleStudy(context.Background(), 3)
+// scaleReport runs the suite's scale study over n organizations.
+func scaleReport(t *testing.T, s *Suite, n int) *scenario.Report {
+	t.Helper()
+	rep, err := scenario.Run(s.scaleSpec(n), s.Workers)
 	if err != nil {
-		t.Fatalf("ScaleStudy: %v", err)
+		t.Fatalf("scale study n=%d: %v", n, err)
 	}
+	return rep
+}
+
+func TestScaleStudySavingsPersist(t *testing.T) {
+	points := scaleReport(t, extSuite, 3).Scale
 	if len(points) != 3 {
 		t.Fatalf("points = %d, want 3", len(points))
 	}
@@ -33,14 +42,18 @@ func TestScaleStudySavingsPersist(t *testing.T) {
 	}
 }
 
+// TestScaleStudyValidation: a scale study over zero organizations fails
+// the spec's provider-count validation instead of running.
 func TestScaleStudyValidation(t *testing.T) {
-	if _, err := extSuite.ScaleStudy(context.Background(), 0); err == nil {
+	spec := extSuite.scaleSpec(1)
+	spec.Providers[0].Count = 0
+	if _, err := scenario.Run(spec, 1); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
 
 func TestScaleArtifactRenders(t *testing.T) {
-	a, err := extSuite.ScaleArtifact(context.Background(), 2)
+	a, err := scaleArtifact(scaleReport(t, extSuite, 2))
 	if err != nil {
 		t.Fatalf("ScaleArtifact: %v", err)
 	}
@@ -81,24 +94,18 @@ func TestAblationBackfillUnknownProvider(t *testing.T) {
 }
 
 // TestScaleStudySingleProviderEdge covers the sweep's smallest grid —
-// ScaleStudy(1) runs exactly one consolidation point — and pins its
-// determinism: a Workers > 1 suite must reproduce the serial suite's
-// numbers bit for bit (run under -race in CI, this also exercises the
-// pair fan-out's synchronization).
+// a one-organization scale study runs exactly one consolidation point,
+// from its base cells — and pins its determinism: a Workers > 1 suite
+// must reproduce the serial suite's numbers bit for bit (run under -race
+// in CI, this also exercises the cell fan-out's synchronization).
 func TestScaleStudySingleProviderEdge(t *testing.T) {
 	serial := NewQuickSuite(42)
 	serial.Workers = 1
 	parallel := NewQuickSuite(42)
 	parallel.Workers = 4
 
-	sp, err := serial.ScaleStudy(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("serial ScaleStudy(1): %v", err)
-	}
-	pp, err := parallel.ScaleStudy(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("parallel ScaleStudy(1): %v", err)
-	}
+	sp := scaleReport(t, serial, 1).Scale
+	pp := scaleReport(t, parallel, 1).Scale
 	if len(sp) != 1 || len(pp) != 1 {
 		t.Fatalf("points = %d/%d, want 1/1", len(sp), len(pp))
 	}
@@ -112,8 +119,8 @@ func TestScaleStudySingleProviderEdge(t *testing.T) {
 
 // TestAblationProvisionTwoPointDeterminism runs the ablation's two
 // simulations (grant-or-reject vs best-effort) on serial and Workers > 1
-// suites and requires identical artifact values regardless of which of
-// the pair finishes first.
+// suites and requires identical artifact values: the worker count must
+// not reach an ablation's numbers.
 func TestAblationProvisionTwoPointDeterminism(t *testing.T) {
 	serial := NewQuickSuite(42)
 	serial.Workers = 1
@@ -133,9 +140,6 @@ func TestAblationProvisionTwoPointDeterminism(t *testing.T) {
 	}
 	if sa.Text != pa.Text {
 		t.Error("rendered ablation tables differ between worker counts")
-	}
-	if got := parallel.Simulations(); got != 2 {
-		t.Errorf("parallel suite ran %d simulations, want exactly 2", got)
 	}
 }
 

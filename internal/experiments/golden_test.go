@@ -2,10 +2,35 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/scenario"
 )
+
+// checkTablesGolden requires Tables 2-4, in that order, to match
+// testdata/table{2,3,4}.golden byte for byte.
+func checkTablesGolden(t *testing.T, label string, tables []Artifact) {
+	t.Helper()
+	for i, id := range []string{"table2", "table3", "table4"} {
+		if tables[i].ID != id {
+			t.Fatalf("%s: artifact %d is %s, want %s", label, i, tables[i].ID, id)
+		}
+		path := filepath.Join("testdata", id+".golden")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tables[i].Text != string(want) {
+			t.Errorf("%s: %s drifted from the reference-kernel golden %s:\n got:\n%s\nwant:\n%s",
+				label, id, path, tables[i].Text, want)
+		}
+	}
+}
 
 // TestPaperTablesGoldenBytes is the scheduling stack's byte-level
 // regression pin: the rendered Tables 2-4 must match
@@ -21,83 +46,125 @@ import (
 func TestPaperTablesGoldenBytes(t *testing.T) {
 	suite := NewSuite(42)
 	suite.Workers = 4
-	for _, tb := range []struct {
-		id string
-		fn func(context.Context) (Artifact, error)
-	}{
-		{"table2", suite.Table2},
-		{"table3", suite.Table3},
-		{"table4", suite.Table4},
-	} {
-		a, err := tb.fn(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", tb.id, err)
-		}
-		path := filepath.Join("testdata", tb.id+".golden")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", tb.id, err)
-		}
-		if a.Text != string(want) {
-			t.Errorf("%s drifted from the reference-kernel golden %s:\n got:\n%s\nwant:\n%s",
-				tb.id, path, a.Text, want)
-		}
+	tables, err := suite.ArtifactsByID(context.Background(), "table2", "table3", "table4")
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkTablesGolden(t, "workers=4", tables)
 }
 
-// TestPaperTablesGoldenBytesPartitioned re-renders Tables 2-4 with each
-// simulation's providers split onto per-core kernel partitions and
-// requires byte-identical output against the same serial-kernel golden
-// files: intra-run partitioning must be invisible in every published
-// number. P=4 exceeds the paper evaluation's three providers, so this
-// also pins the clamp-to-workload-count path.
+// TestPaperTablesGoldenBytesPartitioned runs the paper spec with each
+// simulation's providers split onto per-core kernel partitions (the
+// spec's partitions field) and requires Tables 2-4 formatted from that
+// report to match the same serial-kernel golden files: intra-run
+// partitioning must be invisible in every published number. P=4 exceeds
+// the paper evaluation's three providers, so this also pins the
+// clamp-to-workload-count path.
 func TestPaperTablesGoldenBytesPartitioned(t *testing.T) {
 	for _, p := range []int{2, 4} {
-		suite := NewSuite(42)
-		suite.Workers = 2
-		suite.Partitions = p
-		for _, tb := range []struct {
-			id string
-			fn func(context.Context) (Artifact, error)
-		}{
-			{"table2", suite.Table2},
-			{"table3", suite.Table3},
-			{"table4", suite.Table4},
-		} {
-			a, err := tb.fn(context.Background())
-			if err != nil {
-				t.Fatalf("P=%d %s: %v", p, tb.id, err)
-			}
-			path := filepath.Join("testdata", tb.id+".golden")
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%s: %v", tb.id, err)
-			}
-			if a.Text != string(want) {
-				t.Errorf("P=%d: %s drifted from the serial-kernel golden %s:\n got:\n%s\nwant:\n%s",
-					p, tb.id, path, a.Text, want)
-			}
+		spec := NewSuite(42).paperSpec()
+		spec.Partitions = p
+		rep, err := scenario.Run(spec, 2)
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
 		}
+		var tables []Artifact
+		for _, format := range []func(*scenario.Report) (Artifact, error){table2, table3, table4} {
+			a, err := format(rep)
+			if err != nil {
+				t.Fatalf("P=%d: %v", p, err)
+			}
+			tables = append(tables, a)
+		}
+		checkTablesGolden(t, fmt.Sprintf("P=%d", p), tables)
 	}
 }
 
-// TestPaperTablesGoldenBytesAnyWorkerCount re-renders one table at three
-// worker counts and requires identical bytes: worker scheduling must not
-// leak into artifact content.
+// TestPaperTablesGoldenBytesAnyWorkerCount re-renders Tables 2-4 at the
+// remaining worker counts and requires the golden bytes at each: worker
+// scheduling must not leak into artifact content.
 func TestPaperTablesGoldenBytesAnyWorkerCount(t *testing.T) {
-	render := func(workers int) string {
+	for _, workers := range []int{1, 2, 8} {
 		suite := NewSuite(42)
 		suite.Workers = workers
-		a, err := suite.Table2(context.Background())
+		tables, err := suite.ArtifactsByID(context.Background(), "table2", "table3", "table4")
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return a.Text
+		checkTablesGolden(t, fmt.Sprintf("workers=%d", workers), tables)
 	}
-	serial := render(1)
-	for _, w := range []int{2, 8} {
-		if got := render(w); got != serial {
-			t.Errorf("table2 differs between workers=1 and workers=%d", w)
+}
+
+// TestPaperBaselineMatchesSuiteGolden cross-checks the two ways the
+// program computes the paper's evaluation: a scenario report's Base must
+// deep-equal the hand-built oracle's RunAll, full Results and every field,
+// for the builtin paper-baseline spec at seed 42 and for the suite's own
+// paper spec at seeds 1-4 over 4 days. A spec file is therefore a faithful
+// replacement for hand-built Go workloads.
+func TestPaperBaselineMatchesSuiteGolden(t *testing.T) {
+	builtin, err := scenario.Builtin("paper-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, spec *scenario.Spec, oracle *Suite) {
+		t.Helper()
+		rep, err := scenario.Run(spec, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := oracle.RunAll()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if providers := []string{NASAProvider, BLUEProvider, MontageProvider}; !reflect.DeepEqual(rep.Providers, providers) {
+			t.Fatalf("%s: providers = %v, want %v", label, rep.Providers, providers)
+		}
+		if !reflect.DeepEqual(rep.Base, want) {
+			for _, system := range SystemNames {
+				if !reflect.DeepEqual(rep.Base[system], want[system]) {
+					t.Errorf("%s: %s:\n scenario %+v\n oracle   %+v", label, system, rep.Base[system], want[system])
+				}
+			}
+			t.Errorf("%s: report Base differs from RunAll", label)
+		}
+	}
+	check("paper-baseline", builtin, NewSuite(42))
+	for seed := int64(1); seed <= 4; seed++ {
+		suite := NewQuickSuite(seed)
+		check(fmt.Sprintf("paper spec, seed %d", seed), suite.paperSpec(), suite)
+	}
+}
+
+// TestArtifactsGolden pins every artifact — the paper's eleven and the
+// three extension studies — field for field against
+// testdata/artifacts.json (seed 42, 4-day window), at one worker and at
+// eight. The file was written before the suite became a formatter over
+// scenario reports and is never regenerated, so it proves that every
+// Text, SVG and Value survived the move.
+func TestArtifactsGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "artifacts.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Artifact
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		suite := NewQuickSuite(42)
+		suite.Workers = workers
+		got, err := suite.ArtifactsByID(context.Background(), "all", "extensions")
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d artifacts, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("workers=%d: artifact %s drifted from the golden:\n got:\n%s\nwant:\n%s",
+					workers, want[i].ID, got[i].Text, want[i].Text)
+			}
 		}
 	}
 }

@@ -2,19 +2,20 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/scenario"
 	"repro/internal/systems"
 )
 
-// TestRunAllConcurrentCallers hammers one suite from many goroutines
-// under -race: every caller must observe identical results, and the
-// singleflight dedup must collapse the work to exactly one simulation
-// per system.
+// TestRunAllConcurrentCallers hammers one suite's oracle from many
+// goroutines under -race: the workloads are built once and shared, and
+// every caller must observe identical results.
 func TestRunAllConcurrentCallers(t *testing.T) {
 	s := NewQuickSuite(42)
 	const callers = 8
@@ -37,88 +38,76 @@ func TestRunAllConcurrentCallers(t *testing.T) {
 			t.Errorf("caller %d saw different results", i)
 		}
 	}
-	if got := s.Simulations(); got != int64(len(SystemNames)) {
-		t.Errorf("simulations = %d, want %d (one per system, dedup collapsing the rest)",
-			got, len(SystemNames))
-	}
 }
 
-// TestSweepConcurrentCallers runs two different sweeps from concurrent
-// goroutines over one suite, the -race check for the grid fan-out.
+// TestSweepConcurrentCallers runs two different grid studies from
+// concurrent goroutines over one suite, the -race check for the grid
+// fan-out, and checks each figure plots the metric its class calls for.
 func TestSweepConcurrentCallers(t *testing.T) {
 	s := NewQuickSuite(42)
 	var wg sync.WaitGroup
-	var mtc, htc []SweepPoint
+	var mtc, htc []Artifact
 	var mtcErr, htcErr error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		mtc, mtcErr = s.Sweep(MontageProvider, []int{10, 80}, []float64{8})
+		mtc, mtcErr = s.ArtifactsByID(context.Background(), "fig11")
 	}()
 	go func() {
 		defer wg.Done()
-		htc, htcErr = s.Sweep(NASAProvider, []int{20, 40}, []float64{1.2})
+		htc, htcErr = s.ArtifactsByID(context.Background(), "fig10")
 	}()
 	wg.Wait()
 	if mtcErr != nil || htcErr != nil {
 		t.Fatalf("sweeps failed: %v / %v", mtcErr, htcErr)
 	}
-	if len(mtc) != 2 || len(htc) != 2 {
-		t.Fatalf("points = %d/%d, want 2/2", len(mtc), len(htc))
-	}
-	for _, p := range htc {
-		if p.TasksPerSecond != 0 {
-			t.Errorf("HTC point B%d reports tasks/second %.2f, want 0", p.B, p.TasksPerSecond)
+	for _, b := range SweepInitials {
+		for _, r := range SweepRatiosHTC {
+			key := fmt.Sprintf("B%d_R%g", b, r)
+			v := htc[0].Values
+			if v["tps_"+key] != 0 {
+				t.Errorf("HTC point %s reports tasks/second %.2f, want 0", key, v["tps_"+key])
+			}
+			if v["perf_"+key] != v["completed_"+key] {
+				t.Errorf("HTC point %s plots %.2f, want completed jobs %.0f", key, v["perf_"+key], v["completed_"+key])
+			}
 		}
-		if p.Perf != float64(p.Completed) {
-			t.Errorf("HTC point B%d plots %.2f, want completed jobs %d", p.B, p.Perf, p.Completed)
-		}
-	}
-	for _, p := range mtc {
-		if p.Perf != p.TasksPerSecond {
-			t.Errorf("MTC point B%d plots %.2f, want tasks/second %.2f", p.B, p.Perf, p.TasksPerSecond)
+		for _, r := range SweepRatiosMTC {
+			key := fmt.Sprintf("B%d_R%g", b, r)
+			v := mtc[0].Values
+			if v["perf_"+key] != v["tps_"+key] {
+				t.Errorf("MTC point %s plots %.2f, want tasks/second %.2f", key, v["perf_"+key], v["tps_"+key])
+			}
 		}
 	}
 }
 
 // TestParallelMatchesSerial is the determinism contract: a parallel suite
-// must produce bit-identical Results, SweepPoints and artifact Values to
-// the workers=1 reference on the same seed.
+// must produce bit-identical study reports and artifacts to the workers=1
+// reference on the same seed.
 func TestParallelMatchesSerial(t *testing.T) {
 	serial := NewQuickSuite(7)
 	serial.Workers = 1
 	parallel := NewQuickSuite(7)
 	parallel.Workers = runtime.NumCPU()
 
-	sr, err := serial.RunAll()
+	sr, err := scenario.Run(serial.gridSpec(montageIndex, SweepRatiosMTC), serial.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := parallel.RunAll()
+	pr, err := scenario.Run(parallel.gridSpec(montageIndex, SweepRatiosMTC), parallel.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sr, pr) {
-		t.Errorf("RunAll diverged:\nserial:   %+v\nparallel: %+v", sr, pr)
+		t.Errorf("grid study diverged:\nserial:   %+v\nparallel: %+v", sr.Grid, pr.Grid)
 	}
 
-	sp, err := serial.Sweep(MontageProvider, SweepInitials, SweepRatiosMTC)
+	sa, err := serial.ArtifactsByID(context.Background(), "all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := parallel.Sweep(MontageProvider, SweepInitials, SweepRatiosMTC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sp, pp) {
-		t.Errorf("Sweep diverged:\nserial:   %+v\nparallel: %+v", sp, pp)
-	}
-
-	sa, err := serial.Artifacts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := parallel.Artifacts()
+	pa, err := parallel.ArtifactsByID(context.Background(), "all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,32 +128,24 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepDoesNotMutateBase asserts the deep-copy fix: retuning grid
-// points must never write through to the suite's cached workloads.
+// TestSweepDoesNotMutateBase: the grid studies and the ablations that
+// read the oracle's workloads must never write through to them.
 func TestSweepDoesNotMutateBase(t *testing.T) {
 	s := NewQuickSuite(42)
 	before, err := s.Workloads()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var montage systems.Workload
-	for _, wl := range before {
-		if wl.Name == MontageProvider {
-			montage = wl.Clone()
-		}
-	}
-	if _, err := s.Sweep(MontageProvider, []int{77}, []float64{3}); err != nil {
+	snapshot := systems.CloneWorkloads(before)
+	if _, err := s.ArtifactsByID(context.Background(), "fig11", "extensions"); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.workloadByName(MontageProvider)
+	after, err := s.Workloads()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Params != montage.Params {
-		t.Errorf("sweep mutated cached params: %+v -> %+v", montage.Params, after.Params)
-	}
-	if !reflect.DeepEqual(after.Jobs, montage.Jobs) {
-		t.Error("sweep mutated cached jobs")
+	if !reflect.DeepEqual(after, snapshot) {
+		t.Error("running the studies mutated the suite's workloads")
 	}
 }
 
@@ -208,7 +189,7 @@ func TestArtifactsConcurrentWithExtensions(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		_, err := s.Artifacts()
+		_, err := s.ArtifactsByID(context.Background(), "all")
 		errCh <- err
 	}()
 	go func() {
@@ -218,7 +199,7 @@ func TestArtifactsConcurrentWithExtensions(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		_, err := s.ScaleStudy(context.Background(), 2)
+		_, err := s.ArtifactsByID(context.Background(), "ext-scale")
 		errCh <- err
 	}()
 	wg.Wait()

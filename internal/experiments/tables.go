@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/events"
 	"repro/internal/plot"
+	"repro/internal/scenario"
 	"repro/internal/systems"
 )
 
@@ -20,9 +19,9 @@ type tableSpec struct {
 	paperSaved map[string]float64 // system -> paper's saved-vs-DCS fraction
 }
 
-// Table2 reproduces the NASA-trace service-provider metrics.
-func (s *Suite) Table2(ctx context.Context) (Artifact, error) {
-	return s.providerTable(ctx, tableSpec{
+// table2 reproduces the NASA-trace service-provider metrics.
+func table2(rep *scenario.Report) (Artifact, error) {
+	return providerTable(rep, tableSpec{
 		id:       "table2",
 		title:    "Table 2: metrics of the service providers for NASA trace",
 		provider: NASAProvider,
@@ -32,9 +31,9 @@ func (s *Suite) Table2(ctx context.Context) (Artifact, error) {
 	})
 }
 
-// Table3 reproduces the BLUE-trace service-provider metrics.
-func (s *Suite) Table3(ctx context.Context) (Artifact, error) {
-	return s.providerTable(ctx, tableSpec{
+// table3 reproduces the BLUE-trace service-provider metrics.
+func table3(rep *scenario.Report) (Artifact, error) {
+	return providerTable(rep, tableSpec{
 		id:       "table3",
 		title:    "Table 3: metrics of the service provider for BLUE trace",
 		provider: BLUEProvider,
@@ -44,9 +43,9 @@ func (s *Suite) Table3(ctx context.Context) (Artifact, error) {
 	})
 }
 
-// Table4 reproduces the Montage service-provider metrics.
-func (s *Suite) Table4(ctx context.Context) (Artifact, error) {
-	return s.providerTable(ctx, tableSpec{
+// table4 reproduces the Montage service-provider metrics.
+func table4(rep *scenario.Report) (Artifact, error) {
+	return providerTable(rep, tableSpec{
 		id:       "table4",
 		title:    "Table 4: metrics of the service provider for Montage",
 		provider: MontageProvider,
@@ -57,12 +56,8 @@ func (s *Suite) Table4(ctx context.Context) (Artifact, error) {
 	})
 }
 
-func (s *Suite) providerTable(ctx context.Context, spec tableSpec) (Artifact, error) {
-	results, err := s.RunAllContext(ctx)
-	if err != nil {
-		return Artifact{}, err
-	}
-	dcs, ok := results["DCS"].Provider(spec.provider)
+func providerTable(rep *scenario.Report, spec tableSpec) (Artifact, error) {
+	dcs, ok := rep.Base["DCS"].Provider(spec.provider)
 	if !ok {
 		return Artifact{}, fmt.Errorf("experiments: provider %s missing from DCS run", spec.provider)
 	}
@@ -74,7 +69,7 @@ func (s *Suite) providerTable(ctx context.Context, spec tableSpec) (Artifact, er
 	values := make(map[string]float64)
 	var rows [][]string
 	for _, system := range SystemNames {
-		p, ok := results[system].Provider(spec.provider)
+		p, ok := rep.Base[system].Provider(spec.provider)
 		if !ok {
 			return Artifact{}, fmt.Errorf("experiments: provider %s missing from %s run", spec.provider, system)
 		}
@@ -97,20 +92,13 @@ func (s *Suite) providerTable(ctx context.Context, spec tableSpec) (Artifact, er
 	}
 	text := plot.Table(spec.title, columns, rows,
 		"resource consumption in node*hour; saved resources relative to the DCS system")
-	return s.emitTable(Artifact{
+	return Artifact{
 		ID:       spec.id,
 		Title:    spec.title,
 		Text:     text,
 		PaperRef: spec.paperRef,
 		Values:   values,
-	}), nil
-}
-
-// emitTable publishes a TableRendered event for a finished artifact and
-// returns it unchanged.
-func (s *Suite) emitTable(a Artifact) Artifact {
-	s.Events.Emit(events.TableRendered{ID: a.ID, Title: a.Title})
-	return a
+	}, nil
 }
 
 // TCO reproduces Section 4.5.5: monthly total cost of ownership of a
@@ -146,62 +134,51 @@ func TCO() (Artifact, error) {
 
 // totalsFigure renders one resource-provider bar chart over the four
 // systems from a per-result metric.
-func (s *Suite) totalsFigure(ctx context.Context, id, title, unit, paperRef string, metric func(systems.Result) float64) (Artifact, error) {
-	results, err := s.RunAllContext(ctx)
-	if err != nil {
-		return Artifact{}, err
-	}
+func totalsFigure(rep *scenario.Report, id, title, unit, paperRef string, metric func(systems.Result) float64) Artifact {
 	bars := make([]plot.Bar, 0, len(SystemNames))
 	values := make(map[string]float64)
 	for _, system := range SystemNames {
-		v := metric(results[system])
+		v := metric(rep.Base[system])
 		bars = append(bars, plot.Bar{Label: system, Value: v})
 		values[system] = v
 	}
-	return s.emitTable(Artifact{
+	return Artifact{
 		ID:       id,
 		Title:    title,
 		Text:     plot.BarChart(title, unit, bars, 48),
 		SVG:      plot.BarChartSVG(title, unit, bars),
 		PaperRef: paperRef,
 		Values:   values,
-	}), nil
+	}
 }
 
-// Figure12 reproduces the resource provider's total resource consumption.
-func (s *Suite) Figure12(ctx context.Context) (Artifact, error) {
-	return s.totalsFigure(ctx, "fig12",
+// figure12 reproduces the resource provider's total resource consumption.
+func figure12(rep *scenario.Report) (Artifact, error) {
+	return totalsFigure(rep, "fig12",
 		"Figure 12: total resource consumption of the resource provider",
 		"node*hour",
 		"paper: DawningCloud saves 29.7% of the DCS/SSP total and 29.0% of the DRP total",
-		func(r systems.Result) float64 { return r.TotalNodeHours })
+		func(r systems.Result) float64 { return r.TotalNodeHours }), nil
 }
 
-// Figure13 reproduces the resource provider's peak resource consumption.
-func (s *Suite) Figure13(ctx context.Context) (Artifact, error) {
-	return s.totalsFigure(ctx, "fig13",
+// figure13 reproduces the resource provider's peak resource consumption.
+func figure13(rep *scenario.Report) (Artifact, error) {
+	return totalsFigure(rep, "fig13",
 		"Figure 13: peak resource consumption of the resource provider",
 		"nodes/hour",
 		"paper: DawningCloud peak = 1.06x DCS/SSP peak and 0.21x DRP peak",
-		func(r systems.Result) float64 { return float64(r.PeakNodes) })
+		func(r systems.Result) float64 { return float64(r.PeakNodes) }), nil
 }
 
-// Figure14 reproduces the accumulated node-adjustment counts (management
+// figure14 reproduces the accumulated node-adjustment counts (management
 // overhead).
-func (s *Suite) Figure14(ctx context.Context) (Artifact, error) {
-	art, err := s.totalsFigure(ctx, "fig14",
+func figure14(rep *scenario.Report) (Artifact, error) {
+	art := totalsFigure(rep, "fig14",
 		"Figure 14: accumulated times of adjusting nodes",
 		"nodes adjusted",
 		"paper: SSP lowest; DawningCloud below DRP; DawningCloud overhead ~341 s/hour at 15.743 s per node",
 		func(r systems.Result) float64 { return float64(r.TotalNodesAdjusted) })
-	if err != nil {
-		return Artifact{}, err
-	}
-	results, err := s.RunAllContext(ctx)
-	if err != nil {
-		return Artifact{}, err
-	}
-	dc := results["DawningCloud"]
+	dc := rep.Base["DawningCloud"]
 	art.Text += fmt.Sprintf("DawningCloud management overhead: %.0f s total, %.1f s/hour\n",
 		dc.OverheadSeconds, dc.OverheadPerHour)
 	art.Values["dawningcloud_overhead_per_hour"] = dc.OverheadPerHour

@@ -1,89 +1,13 @@
 package scenario
 
 import (
-	"context"
 	"os"
 	"reflect"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// TestPaperBaselineMatchesSuiteGolden is the subsystem's reproduction
-// contract: the declarative paper-baseline scenario must produce exactly
-// the numbers the hand-coded experiment suite reports in Tables 2-4 —
-// same providers, same seeds, same policies, same horizon — so a spec
-// file is a faithful replacement for the hardcoded Go experiments.
-func TestPaperBaselineMatchesSuiteGolden(t *testing.T) {
-	spec, err := Builtin("paper-baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	suite := experiments.NewSuite(42)
-	want, err := suite.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	providers := []string{
-		experiments.NASAProvider,
-		experiments.BLUEProvider,
-		experiments.MontageProvider,
-	}
-	if !reflect.DeepEqual(rep.Providers, providers) {
-		t.Fatalf("providers = %v, want %v", rep.Providers, providers)
-	}
-	for _, system := range experiments.SystemNames {
-		got, ok := rep.Base[system]
-		if !ok {
-			t.Fatalf("scenario missing system %s", system)
-		}
-		w := want[system]
-		for _, provider := range providers {
-			gp, ok1 := got.Provider(provider)
-			wp, ok2 := w.Provider(provider)
-			if !ok1 || !ok2 {
-				t.Fatalf("%s: provider %s missing (scenario %v, suite %v)", system, provider, ok1, ok2)
-			}
-			if gp != wp {
-				t.Errorf("%s/%s:\n scenario %+v\n suite    %+v", system, provider, gp, wp)
-			}
-		}
-		if got.TotalNodeHours != w.TotalNodeHours || got.PeakNodes != w.PeakNodes ||
-			got.TotalNodesAdjusted != w.TotalNodesAdjusted {
-			t.Errorf("%s totals: scenario %.0f/%d/%d, suite %.0f/%d/%d", system,
-				got.TotalNodeHours, got.PeakNodes, got.TotalNodesAdjusted,
-				w.TotalNodeHours, w.PeakNodes, w.TotalNodesAdjusted)
-		}
-	}
-
-	// Spot-check the Table 2-4 artifact values through the suite's own
-	// rendering path, so this test fails loudly if either side drifts.
-	for _, table := range []func(context.Context) (experiments.Artifact, error){suite.Table2, suite.Table3, suite.Table4} {
-		a, err := table(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, system := range experiments.SystemNames {
-			provider := providers[map[string]int{"table2": 0, "table3": 1, "table4": 2}[a.ID]]
-			p, _ := rep.Base[system].Provider(provider)
-			if got, want := p.NodeHours, a.Values["nodehours_"+system]; got != want {
-				t.Errorf("%s %s node-hours: scenario %.2f, suite %.2f", a.ID, system, got, want)
-			}
-			if got, want := float64(p.Completed), a.Values["completed_"+system]; got != want {
-				t.Errorf("%s %s completed: scenario %.0f, suite %.0f", a.ID, system, got, want)
-			}
-		}
-	}
 }
 
 // TestRunParallelMatchesSerial pins the runner's determinism contract:

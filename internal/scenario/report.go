@@ -102,8 +102,8 @@ type Report struct {
 	// block).
 	Federation *FederationReport `json:",omitempty"`
 	Summary    Summary
-	// Simulations counts distinct simulations executed (cache hits and
-	// deduplicated cells excluded).
+	// Simulations counts the simulations executed: one per cell, plus
+	// one for a federation.
 	Simulations int64
 }
 

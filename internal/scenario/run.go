@@ -10,7 +10,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/par"
 	"repro/internal/registry"
-	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/systems"
 )
@@ -50,9 +49,9 @@ type gridCell struct {
 	r        float64
 }
 
-// key is the cache identity: cells that describe the same simulation
-// (e.g. the scale sweep's full prefix and the base run) share one
-// execution.
+// key names the cell in events and errors. Validation makes keys unique
+// within a run: systems and grid values are never listed twice, and the
+// scale sweep's full prefix is the base cells themselves.
 func (c cell) key() string {
 	if c.grid != nil {
 		return fmt.Sprintf("grid|%s|B%d|R%g", c.grid.provider, c.grid.b, c.grid.r)
@@ -60,13 +59,8 @@ func (c cell) key() string {
 	return fmt.Sprintf("%s|n=%d", c.system, c.providers)
 }
 
-// engine executes cells with the experiment suite's concurrency
-// semantics, provided by the shared service.Group: the cache lock is
-// held only for the map check/fill and identical in-flight cells are
-// deduplicated singleflight-style. Simulation concurrency itself is
-// bounded by the par.ForEach pool in Compiled.Run — the engine lives
-// for exactly one Run call, so no additional suite-wide semaphore is
-// needed.
+// engine executes the cells of one Run call, each exactly once;
+// concurrency is bounded by the par.ForEach pool in Compiled.RunContext.
 type engine struct {
 	c    *Compiled
 	sink events.Sink
@@ -74,10 +68,7 @@ type engine struct {
 	// reports; nil on the materialized path.
 	windows *windowEmitter
 
-	flight service.Group
-
-	simulations atomic.Int64
-	completed   atomic.Int64
+	completed atomic.Int64
 }
 
 // Run executes every base, scale and grid cell of the compiled scenario.
@@ -98,7 +89,7 @@ func (c *Compiled) RunContext(ctx context.Context, workers int, sink events.Sink
 	cells := c.cells()
 	results := make([]systems.Result, len(cells))
 	err := par.ForEach(workers, len(cells), func(i int) error {
-		r, err := eng.run(ctx, cells[i])
+		r, err := eng.simulate(ctx, cells[i])
 		if err != nil {
 			return err
 		}
@@ -113,7 +104,7 @@ func (c *Compiled) RunContext(ctx context.Context, workers int, sink events.Sink
 	if err != nil {
 		return nil, err
 	}
-	rep := c.assemble(cells, results, eng.simulations.Load())
+	rep := c.assemble(cells, results)
 	if c.Spec.Federation != nil {
 		fed, err := c.runFederation(ctx, sink)
 		if err != nil {
@@ -216,19 +207,6 @@ func (c *Compiled) cells() []cell {
 	return out
 }
 
-// run executes one cell through the shared cache/singleflight path:
-// cells describing the same simulation (the scale sweep's full prefix
-// and the base run, say) share one execution and one cached result.
-func (e *engine) run(ctx context.Context, c cell) (systems.Result, error) {
-	v, err := e.flight.Do(ctx, c.key(), func() (any, error) {
-		return e.simulate(ctx, c)
-	})
-	if err != nil {
-		return systems.Result{}, err
-	}
-	return v.(systems.Result), nil
-}
-
 // simulate builds the cell's workload set and runs it through
 // the registered system runner, or through the streamed path when the
 // spec asks for it.
@@ -244,7 +222,6 @@ func (e *engine) simulate(ctx context.Context, c cell) (systems.Result, error) {
 	if err != nil {
 		return systems.Result{}, err
 	}
-	e.simulations.Add(1)
 	e.sink.Emit(events.RunStarted{System: canonical, Providers: len(wls), Cell: c.key()})
 	res, err := runner.Run(ctx, wls, e.c.Options)
 	e.sink.Emit(events.RunCompleted{System: canonical, Cell: c.key(), Err: err, TotalNodeHours: res.TotalNodeHours})
@@ -283,13 +260,13 @@ func (c *Compiled) workloadByName(name string) (*systems.Workload, bool) {
 }
 
 // assemble sorts the flat cell results into the structured report.
-func (c *Compiled) assemble(cells []cell, results []systems.Result, sims int64) *Report {
+func (c *Compiled) assemble(cells []cell, results []systems.Result) *Report {
 	rep := &Report{
 		Spec:        c.Spec,
 		Horizon:     c.Spec.Horizon(),
 		Systems:     append([]string(nil), c.Spec.Systems...),
 		Base:        make(map[string]systems.Result, len(c.Spec.Systems)),
-		Simulations: sims,
+		Simulations: int64(len(cells)),
 	}
 	for i := range c.Workloads {
 		rep.Providers = append(rep.Providers, c.Workloads[i].Name)

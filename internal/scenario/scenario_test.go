@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/job"
 	"repro/internal/registry"
+	"repro/internal/synth"
 	"repro/internal/systems"
 )
 
@@ -65,6 +67,12 @@ func TestValidationFieldErrors(t *testing.T) {
 		{"unknown json field", `{"name":"x","providerz":[]}`, "providerz"},
 		{"partitions below -1", `{"name":"x","partitions":-2,
 			"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}]}`, "partitions"},
+		{"grid duplicate b", `{"name":"x",
+			"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}],
+			"sweep":{"grid":{"provider":"p","b":[10,20,10],"r":[1]}}}`, "sweep.grid.b[2]"},
+		{"grid duplicate r", `{"name":"x",
+			"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}],
+			"sweep":{"grid":{"provider":"p","b":[10],"r":[1.2,1.20]}}}`, "sweep.grid.r[1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,6 +81,40 @@ func TestValidationFieldErrors(t *testing.T) {
 				t.Errorf("error %q does not name field %q", msg, tc.wantField)
 			}
 		})
+	}
+}
+
+// horizonOverflowDays is the smallest window whose length in seconds,
+// Days × 86,400, overflows sim.Time: unchecked, it wrapped Horizon()
+// negative and the run silently derived its window from the jobs.
+const horizonOverflowDays = 106751991167301
+
+// TestDaysBound pins the accounting-window bound: synth.MaxDays days is
+// accepted with a positive horizon; one day more, 2^30 days (a 206 GB
+// usage-bucket allocation when it reached finalize) and the overflowing
+// window are field errors on days, from Parse and from Run alike.
+func TestDaysBound(t *testing.T) {
+	spec := func(days int) string {
+		return fmt.Sprintf(`{"name":"x","days":%d,"systems":["DCS","DawningCloud"],
+			"providers":[{"name":"m","source":{"kind":"workflow","generator":"paper-montage"}}]}`, days)
+	}
+	s, err := ParseBytes([]byte(spec(synth.MaxDays)))
+	if err != nil {
+		t.Fatalf("days=%d rejected: %v", synth.MaxDays, err)
+	}
+	if s.Horizon() <= 0 {
+		t.Fatalf("days=%d: horizon %d, want positive", synth.MaxDays, s.Horizon())
+	}
+	for _, days := range []int{synth.MaxDays + 1, 1 << 30, horizonOverflowDays} {
+		if msg := parseErr(t, spec(days)); !strings.Contains(msg, "days") {
+			t.Errorf("days=%d: error %q does not name field days", days, msg)
+		}
+		// A spec built in Go skips Parse; Run must still refuse it
+		// before generating or allocating anything.
+		s.Days = days
+		if _, err := Run(s, 1); err == nil || !strings.Contains(err.Error(), "days") {
+			t.Errorf("days=%d: Run error = %v, want a days field error", days, err)
+		}
 	}
 }
 
@@ -309,10 +351,10 @@ func TestRunSmallScenarioEndToEnd(t *testing.T) {
 	if last.DSPNodeHours != rep.Base["DawningCloud"].TotalNodeHours {
 		t.Errorf("scale n=2 DSP %.0f != base %.0f", last.DSPNodeHours, rep.Base["DawningCloud"].TotalNodeHours)
 	}
-	// Cells: 2 base + 2 scale (n=1) + 2 grid = 6 distinct simulations;
-	// the n=2 scale points are cache hits on the base cells.
+	// Cells: 2 base + 2 scale (n=1) + 2 grid = 6 simulations; the n=2
+	// scale points are read from the base cells, not run again.
 	if rep.Simulations != 6 {
-		t.Errorf("simulations = %d, want 6 (full prefix deduplicated against base)", rep.Simulations)
+		t.Errorf("simulations = %d, want 6 (full prefix read from the base cells)", rep.Simulations)
 	}
 	text := rep.Render()
 	for _, want := range []string{"scenario: mini", "provider a-01", "provider a-02",

@@ -3,10 +3,10 @@
 // declares an arbitrary n-provider × m-system simulation study (the
 // generalized case the paper's conclusion asks for), Compile lowers it to
 // the comparison harness's workloads, and Run executes every
-// system × provider-count × sweep cell over the shared worker pool with
-// the experiment suite's cache/singleflight semantics, emitting a
-// structured Report with rendered tables and an economies-of-scale
-// summary.
+// system × provider-count × sweep cell exactly once over a bounded worker
+// pool, emitting a structured Report with rendered tables and an
+// economies-of-scale summary. The paper suite (internal/experiments)
+// formats its tables and figures from these reports.
 //
 // A service provider's workload comes from one of four sources: a
 // calibrated synthetic HTC model (internal/synth), an external SWF trace
@@ -22,12 +22,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/clustersim"
-	"repro/internal/experiments"
 	"repro/internal/registry"
 	"repro/internal/sim"
+	"repro/internal/synth"
 
 	// Shipped registry extensions must be linked in so scenario specs can
 	// name them (ssp-spot) through any entry point, not only the CLIs.
@@ -43,7 +44,7 @@ var (
 	// extensions must be asked for explicitly so existing specs (and the
 	// paper-baseline golden numbers) never change when a new system
 	// links in.
-	DefaultSystems = append([]string(nil), experiments.SystemNames...)
+	DefaultSystems = registry.PaperSystems()
 	// KnownSourceKinds lists the workload source kinds.
 	KnownSourceKinds = []string{"synth", "swf", "workflow", "live"}
 	// KnownSynthModels lists the synthetic HTC models: the two
@@ -69,7 +70,8 @@ type Spec struct {
 	// to 42; to pin a specific seed use any non-zero value (or set the
 	// providers' seeds explicitly).
 	Seed int64 `json:"seed,omitempty"`
-	// Days is the accounting window in days (the paper uses 14).
+	// Days is the accounting window in days (the paper uses 14), at
+	// most synth.MaxDays.
 	Days int `json:"days,omitempty"`
 	// Partitions splits each cell's providers onto that many per-core
 	// kernel partitions (0 or 1 = serial, -1 = one per CPU). Partitioned
@@ -300,6 +302,11 @@ func (s *Spec) ApplyDefaults() {
 		if f.Policy == "" {
 			f.Policy = clustersim.PolicyRoundRobin
 		}
+		if len(f.Providers) == 0 {
+			// An empty list means every provider, as an absent one does;
+			// one spelling keeps a persisted spec round-tripping exactly.
+			f.Providers = nil
+		}
 		if f.Instances == 0 {
 			f.Instances = len(s.FederationMembers())
 		}
@@ -332,8 +339,8 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: name: must not be empty")
 	}
-	if s.Days < 1 {
-		return fail("days", "accounting window %d days < 1", s.Days)
+	if s.Days < 1 || s.Days > synth.MaxDays {
+		return fail("days", "accounting window %d days outside [1,%d]", s.Days, synth.MaxDays)
 	}
 	if s.Partitions < -1 {
 		return fail("partitions", "partition count %d < -1 (use -1 for one per CPU)", s.Partitions)
@@ -503,7 +510,7 @@ func (p *ProviderSpec) validate(field string, fail func(string, string, ...any) 
 	src := &p.Source
 	switch src.Kind {
 	case "synth":
-		if !contains(KnownSynthModels, src.Model) {
+		if !slices.Contains(KnownSynthModels, src.Model) {
 			return fail(field+".source.model", "unknown synth model %q (known: %s)",
 				src.Model, strings.Join(KnownSynthModels, ", "))
 		}
@@ -524,7 +531,7 @@ func (p *ProviderSpec) validate(field string, fail func(string, string, ...any) 
 		if (src.Generator == "") == (src.Path == "") {
 			return fail(field+".source", "workflow source needs exactly one of generator or path")
 		}
-		if src.Generator != "" && !contains(KnownGenerators, src.Generator) {
+		if src.Generator != "" && !slices.Contains(KnownGenerators, src.Generator) {
 			return fail(field+".source.generator", "unknown generator %q (known: %s)",
 				src.Generator, strings.Join(KnownGenerators, ", "))
 		}
@@ -563,20 +570,28 @@ func (s *Spec) validateSweep(fail func(string, string, ...any) error) error {
 		if len(g.B) == 0 || len(g.R) == 0 {
 			return fail("sweep.grid", "needs at least one B and one R value")
 		}
+		// Each (B, R) pair is one cell, run once: a value listed twice
+		// would run the same simulation twice under one key.
 		for i, b := range g.B {
 			if b < 1 {
 				return fail(fmt.Sprintf("sweep.grid.b[%d]", i), "initial nodes %d < 1", b)
+			}
+			if slices.Index(g.B, b) < i {
+				return fail(fmt.Sprintf("sweep.grid.b[%d]", i), "initial nodes %d listed twice", b)
 			}
 		}
 		for i, r := range g.R {
 			if r <= 0 {
 				return fail(fmt.Sprintf("sweep.grid.r[%d]", i), "threshold ratio %g <= 0", r)
 			}
+			if slices.Index(g.R, r) < i {
+				return fail(fmt.Sprintf("sweep.grid.r[%d]", i), "threshold ratio %g listed twice", r)
+			}
 		}
 	}
 	if s.Sweep.Scale {
 		for _, want := range []string{"DCS", "DawningCloud"} {
-			if !contains(s.Systems, want) {
+			if !slices.Contains(s.Systems, want) {
 				return fail("sweep.scale", "needs both DCS and DawningCloud in systems (missing %s)", want)
 			}
 		}
@@ -602,14 +617,5 @@ func (s *Spec) ExpandedNames() []string {
 }
 
 func (s *Spec) hasExpandedProvider(name string) bool {
-	return contains(s.ExpandedNames(), name)
-}
-
-func contains(list []string, v string) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.ExpandedNames(), name)
 }

@@ -18,7 +18,7 @@ import (
 // feed the kernel through a bounded-lookahead feeder, live providers
 // draw from their attached sources, and base cells carry the read-only
 // per-window reporters. Results are byte-identical to the materialized
-// path for the same jobs, so the cache key and the report shape do not
+// path for the same jobs, so the cell key and the report shape do not
 // change.
 func (e *engine) simulateStreamed(ctx context.Context, c cell) (systems.Result, error) {
 	wls, err := e.cellWorkloads(c)
@@ -51,7 +51,6 @@ func (e *engine) simulateStreamed(ctx context.Context, c cell) (systems.Result, 
 	if c.grid == nil && c.providers == len(e.c.Workloads) && e.windows != nil {
 		spec.Observe = e.windows.observer(c.system, c.key())
 	}
-	e.simulations.Add(1)
 	e.sink.Emit(events.RunStarted{System: c.system, Providers: len(wls), Cell: c.key()})
 	res, err := streamrun.Run(ctx, spec)
 	e.sink.Emit(events.RunCompleted{System: c.system, Cell: c.key(), Err: err, TotalNodeHours: res.TotalNodeHours})

@@ -17,6 +17,7 @@ import (
 
 	dawningcloud "repro"
 	"repro/internal/events"
+	"repro/internal/synth"
 )
 
 // newTestServer builds an isolated engine + API server torn down with
@@ -546,6 +547,34 @@ func TestScenarioCatalogAndErrors(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestDaysOutOfRangeIs400: every request form that takes a day count —
+// an inline scenario spec, a NASA or BLUE system run and a suite run —
+// answers 400 for one day past synth.MaxDays, for 2^30 days and for the
+// window whose length in seconds overflows, before generating anything.
+// The bound itself is accepted.
+func TestDaysOutOfRangeIs400(t *testing.T) {
+	srv, _ := newTestServer(t, dawningcloud.ServiceConfig{Workers: 1})
+	forms := map[string]string{
+		"scenario_spec": `{"scenario_spec":{"name":"d","days":%d,"systems":["DCS","DawningCloud"],
+			"providers":[{"name":"m","source":{"kind":"workflow","generator":"paper-montage"}}]}}`,
+		"system nasa": `{"system":"DCS","workload":"nasa","days":%d}`,
+		"system blue": `{"system":"DCS","workload":"blue","days":%d}`,
+		"experiments": `{"experiments":["table1"],"days":%d}`,
+	}
+	for name, form := range forms {
+		for _, days := range []int{synth.MaxDays + 1, 1 << 30, 106751991167301} {
+			resp, data := postJSON(t, srv.URL+"/v1/runs", fmt.Sprintf(form, days))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "days") {
+				t.Errorf("%s, days=%d: status %d (%s), want 400 naming days", name, days, resp.StatusCode, data)
+			}
+		}
+	}
+	resp, data := postJSON(t, srv.URL+"/v1/runs", fmt.Sprintf(forms["experiments"], synth.MaxDays))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("experiments, days=%d: status %d (%s), want 202", synth.MaxDays, resp.StatusCode, data)
 	}
 }
 

@@ -1,3 +1,10 @@
+// Package service is the run-lifecycle subsystem behind the public
+// asynchronous API: a run store with stable identities, content-hash
+// deduplication and result caching, a bounded worker queue with
+// backpressure, TTL eviction of finished runs, crash recovery from a
+// durable store, and graceful shutdown. cmd/dcserve exposes it over HTTP;
+// the public Engine's blocking methods are thin wrappers over inline
+// submissions to the same lifecycle.
 package service
 
 import (

@@ -23,6 +23,12 @@ import (
 	"repro/internal/job"
 )
 
+// MaxDays bounds every accounting window the program accepts: spec days,
+// suite days and generated trace lengths. Ten years is 260 times the
+// paper's two weeks, keeps a window's hourly usage buckets at most 87,600,
+// and keeps the window in seconds far from overflowing sim.Time.
+const MaxDays = 3650
+
 // SizeWeight gives the relative probability of a job requesting Nodes nodes.
 type SizeWeight struct {
 	Nodes  int
@@ -35,7 +41,7 @@ type Model struct {
 	Name string
 	// Seed makes generation reproducible.
 	Seed int64
-	// Days is the trace length (the paper uses 14).
+	// Days is the trace length (the paper uses 14), at most MaxDays.
 	Days int
 	// MachineNodes is the machine size; no job exceeds it and at least
 	// one job requests exactly this size (the paper sizes the DCS/SSP
@@ -81,8 +87,8 @@ type Model struct {
 
 // Validate reports the first configuration problem, or nil.
 func (m *Model) Validate() error {
-	if m.Days <= 0 {
-		return fmt.Errorf("synth %s: days %d <= 0", m.Name, m.Days)
+	if m.Days <= 0 || m.Days > MaxDays {
+		return fmt.Errorf("synth %s: days %d outside [1,%d]", m.Name, m.Days, MaxDays)
 	}
 	if m.MachineNodes <= 0 {
 		return fmt.Errorf("synth %s: machine nodes %d <= 0", m.Name, m.MachineNodes)

@@ -15,11 +15,18 @@ func TestValidate(t *testing.T) {
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid model rejected: %v", err)
 	}
+	valid.Days = MaxDays
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("a %d-day model rejected: %v", MaxDays, err)
+	}
 	tests := []struct {
 		name   string
 		mutate func(*Model)
 	}{
 		{"zero days", func(m *Model) { m.Days = 0 }},
+		{"days above bound", func(m *Model) { m.Days = MaxDays + 1 }},
+		{"2^30 days", func(m *Model) { m.Days = 1 << 30 }},
+		{"span overflows", func(m *Model) { m.Days = 106751991167301 }},
 		{"zero nodes", func(m *Model) { m.MachineNodes = 0 }},
 		{"util zero", func(m *Model) { m.TargetUtil = 0 }},
 		{"util one", func(m *Model) { m.TargetUtil = 1 }},

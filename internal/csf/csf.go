@@ -16,8 +16,8 @@ package csf
 import (
 	"fmt"
 
-	"repro/internal/nodepool"
 	"repro/internal/metrics"
+	"repro/internal/nodepool"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -128,6 +128,30 @@ func (s *ProvisionService) RequestInitial(owner string, n int) error {
 // RequestDynamic resolves a dynamic resource request under the provision
 // policy: it returns the granted node count, zero when rejected.
 func (s *ProvisionService) RequestDynamic(owner string, n int) int {
+	granted := s.grant(owner, n)
+	if granted > 0 {
+		s.acct.Acquire(owner, granted)
+	}
+	return granted
+}
+
+// RequestLease resolves an end user's request for n nodes under the
+// provision policy, as RequestDynamic does, and accounts the grant as a
+// lease of its own under owner, the end user's service provider. It
+// returns the lease and the granted node count; a rejected request
+// grants zero and no lease.
+func (s *ProvisionService) RequestLease(owner string, n int) (metrics.Lease, int) {
+	granted := s.grant(owner, n)
+	if granted <= 0 {
+		return metrics.Lease{}, 0
+	}
+	return s.acct.AcquireLease(owner, granted), granted
+}
+
+// grant takes the nodes the provision policy grants for a request of n
+// from the pool on owner's behalf, and counts a rejection when it grants
+// none.
+func (s *ProvisionService) grant(owner string, n int) int {
 	granted := s.policy.Grant(n, s.pool.Free())
 	if granted <= 0 {
 		s.rejected++
@@ -139,7 +163,6 @@ func (s *ProvisionService) RequestDynamic(owner string, n int) int {
 		s.rejected++
 		return 0
 	}
-	s.acct.Acquire(owner, granted)
 	return granted
 }
 
@@ -151,6 +174,19 @@ func (s *ProvisionService) Release(owner string, n int) error {
 	}
 	if err := s.acct.Release(owner, n); err != nil {
 		return fmt.Errorf("csf: release accounting for %s: %w", owner, err)
+	}
+	return nil
+}
+
+// ReleaseLease reclaims the nodes of a lease RequestLease granted under
+// owner.
+func (s *ProvisionService) ReleaseLease(owner string, l metrics.Lease) error {
+	n, err := s.acct.CloseLease(l)
+	if err != nil {
+		return fmt.Errorf("csf: release accounting for %s: %w", owner, err)
+	}
+	if err := s.pool.Release(owner, n); err != nil {
+		return fmt.Errorf("csf: release from %s: %w", owner, err)
 	}
 	return nil
 }

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/nodepool"
 	"repro/internal/metrics"
+	"repro/internal/nodepool"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )

@@ -17,10 +17,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/nodepool"
 	"repro/internal/policy"
 	"repro/internal/sched"
 )

@@ -13,7 +13,7 @@ import (
 // pullDeadline is the tempting mistake this fixture pins: bounding a
 // lane pull with host time instead of failing the feed explicitly.
 func pullDeadline() bool {
-	start := time.Now()                   // want `time\.Now reads the wall clock inside simulation-path package internal/stream`
+	start := time.Now()                    // want `time\.Now reads the wall clock inside simulation-path package internal/stream`
 	return time.Since(start) > time.Second // want `time\.Since reads the wall clock`
 }
 

@@ -3,9 +3,32 @@
 // granularity, the resource provider's total and peak consumption, and the
 // node-adjustment counts behind the management-overhead analysis.
 //
-// The central type is Accountant. Runtime environments call Acquire and
-// Release as they negotiate resources; at the end of a run CloseAll settles
-// open leases and the experiment harness reads the aggregates.
+// The central type is Accountant. It keeps one account per owner, and an
+// account holds leases of two kinds:
+//
+//   - Blocks taken with Acquire and returned with Release, most recent
+//     first. Runtime environments negotiate these: a release of n nodes
+//     closes the newest blocks, splitting one if it must, so a runtime
+//     environment keeps its initial resources while it sheds dynamic ones.
+//   - Lease handles taken with AcquireLease and closed with CloseLease. A
+//     handle closes exactly the block it names, however many others its
+//     owner holds. The direct resource provision model leases one handle
+//     per end-user job under its provider's account, so an end user costs
+//     a lease segment, not an account of its own.
+//
+// At the end of a run CloseAll settles every open lease and the experiment
+// harness reads the aggregates.
+//
+// The peak held nodes of each owner and of the whole platform are running
+// maxima, kept up to date on every acquire and release, so reading them is
+// O(1). A peak is the maximum of the held-node step function, which at each
+// instant counts the level after all of that instant's changes: a lease
+// taken and returned at one instant never counts, and a swap at one instant
+// is not a double count. So a level is recorded once the clock has moved
+// past its instant, never after each call. After CloseAll(end) the peaks
+// equal the largest of stats.BucketMax's hourly buckets over Intervals (or
+// OwnerIntervals) up to end, which applies releases before acquires and
+// drops zero-length intervals.
 package metrics
 
 import (
@@ -28,10 +51,21 @@ type leaseSeg struct {
 // ownerAccount accumulates one consumer's lease history.
 type ownerAccount struct {
 	open          []leaseSeg // end undefined while open; LIFO close order
+	leases        []leaseSeg // by Lease index; end undefined, count 0 once closed
 	closed        []leaseSeg
-	held          int
-	nodesAdjusted int // sum of node counts over acquire+release operations
+	held          int   // in open blocks and open leases
+	leased        int   // in open leases
+	peak          int   // max held after each instant before at
+	at            int64 // instant of the last change
+	nodesAdjusted int   // sum of node counts over acquire+release operations
 	adjustOps     int
+}
+
+// Lease is a handle to one block of nodes taken with AcquireLease. The
+// zero Lease names no block.
+type Lease struct {
+	oa *ownerAccount
+	i  int
 }
 
 // Accountant records lease activity against a virtual clock.
@@ -39,6 +73,9 @@ type Accountant struct {
 	now    func() int64
 	owners map[string]*ownerAccount
 	order  []string // deterministic iteration
+	held   int      // across all owners
+	peak   int      // max held after each instant before at
+	at     int64    // instant of the last change
 }
 
 // NewAccountant builds an accountant reading time from now (typically
@@ -57,6 +94,32 @@ func (a *Accountant) owner(name string) *ownerAccount {
 	return oa
 }
 
+// moveTo brings the running peaks of the platform and of oa to instant
+// t ahead of a change there. The held level of an instant the clock has
+// left is final, so that is when it enters a peak.
+func (a *Accountant) moveTo(oa *ownerAccount, t int64) {
+	if t != a.at {
+		a.peak = max(a.peak, a.held)
+		a.at = t
+	}
+	if t != oa.at {
+		oa.peak = max(oa.peak, oa.held)
+		oa.at = t
+	}
+}
+
+// change applies an acquire (n > 0) or a release (n < 0) of |n| nodes on
+// oa now, and returns now.
+func (a *Accountant) change(oa *ownerAccount, n int) int64 {
+	now := a.now()
+	a.moveTo(oa, now)
+	a.held += n
+	oa.held += n
+	oa.nodesAdjusted += max(n, -n)
+	oa.adjustOps++
+	return now
+}
+
 // Acquire records owner obtaining n nodes now. Adjustment counters grow by
 // n: the paper counts every node assignment as setup work.
 func (a *Accountant) Acquire(owner string, n int) {
@@ -64,27 +127,50 @@ func (a *Accountant) Acquire(owner string, n int) {
 		panic(fmt.Sprintf("metrics: acquire %d nodes", n))
 	}
 	oa := a.owner(owner)
-	oa.open = append(oa.open, leaseSeg{start: a.now(), count: n})
-	oa.held += n
-	oa.nodesAdjusted += n
-	oa.adjustOps++
+	oa.open = append(oa.open, leaseSeg{start: a.change(oa, n), count: n})
 }
 
-// Release records owner returning n nodes now. Open leases close most
+// AcquireLease records owner obtaining n nodes now as a lease of their
+// own, and returns its handle. Adjustment counters grow by n, as for
+// Acquire.
+func (a *Accountant) AcquireLease(owner string, n int) Lease {
+	if n <= 0 {
+		panic(fmt.Sprintf("metrics: acquire %d nodes", n))
+	}
+	oa := a.owner(owner)
+	oa.leases = append(oa.leases, leaseSeg{start: a.change(oa, n), count: n})
+	oa.leased += n
+	return Lease{oa: oa, i: len(oa.leases) - 1}
+}
+
+// CloseLease records the nodes of lease l returning now, and reports how
+// many they were. Closing a lease that is not open is an error.
+func (a *Accountant) CloseLease(l Lease) (int, error) {
+	oa := l.oa
+	if oa == nil || l.i >= len(oa.leases) || oa.leases[l.i].count == 0 {
+		return 0, fmt.Errorf("metrics: close of a lease that is not open")
+	}
+	seg := &oa.leases[l.i]
+	n := seg.count
+	oa.closed = append(oa.closed, leaseSeg{start: seg.start, end: a.change(oa, -n), count: n})
+	oa.leased -= n
+	seg.count = 0
+	return n, nil
+}
+
+// Release records owner returning n nodes now. Open blocks close most
 // recent first, matching the policy's behaviour of releasing dynamically
-// acquired blocks while keeping initial resources.
+// acquired blocks while keeping initial resources. Leases taken with
+// AcquireLease are not released here; CloseLease ends them.
 func (a *Accountant) Release(owner string, n int) error {
 	oa := a.owner(owner)
 	if n <= 0 {
 		return fmt.Errorf("metrics: release %d nodes", n)
 	}
-	if n > oa.held {
-		return fmt.Errorf("metrics: %s releasing %d nodes but holds %d", owner, n, oa.held)
+	if blocks := oa.held - oa.leased; n > blocks {
+		return fmt.Errorf("metrics: %s releasing %d nodes but holds %d", owner, n, blocks)
 	}
-	now := a.now()
-	oa.held -= n
-	oa.nodesAdjusted += n
-	oa.adjustOps++
+	now := a.change(oa, -n)
 	remaining := n
 	for remaining > 0 {
 		last := &oa.open[len(oa.open)-1]
@@ -102,25 +188,33 @@ func (a *Accountant) Release(owner string, n int) error {
 	return nil
 }
 
-// CloseAll settles every open lease at time end, which must be at or after
-// the clock. Call once when a simulation finishes. Closing counts as
-// reclaiming for adjustment purposes only when countAdjust is true (a DCS
-// owner keeps its machines; a cloud tear-down wipes nodes).
+// CloseAll settles every open block and lease at time end, which must be
+// at or after the clock. Call once when a simulation finishes. Closing
+// counts as reclaiming for adjustment purposes only when countAdjust is
+// true (a DCS owner keeps its machines; a cloud tear-down wipes nodes).
 func (a *Accountant) CloseAll(end int64, countAdjust bool) {
 	for _, name := range a.order {
 		oa := a.owners[name]
-		for _, seg := range oa.open {
-			if seg.count == 0 {
-				continue
-			}
-			oa.closed = append(oa.closed, leaseSeg{start: seg.start, end: end, count: seg.count})
-			if countAdjust {
-				oa.nodesAdjusted += seg.count
-				oa.adjustOps++
-			}
+		a.moveTo(oa, end)
+		oa.settle(oa.open, end, countAdjust)
+		oa.settle(oa.leases, end, countAdjust)
+		oa.open, oa.leases = nil, nil
+		oa.held, oa.leased = 0, 0
+	}
+	a.held = 0
+}
+
+// settle closes the still-open segments of segs at end for CloseAll.
+func (oa *ownerAccount) settle(segs []leaseSeg, end int64, countAdjust bool) {
+	for _, seg := range segs {
+		if seg.count == 0 {
+			continue
 		}
-		oa.open = nil
-		oa.held = 0
+		oa.closed = append(oa.closed, leaseSeg{start: seg.start, end: end, count: seg.count})
+		if countAdjust {
+			oa.nodesAdjusted += seg.count
+			oa.adjustOps++
+		}
 	}
 }
 
@@ -173,11 +267,12 @@ func (a *Accountant) BilledNodeHoursThrough(owner string, t int64) float64 {
 	for _, seg := range oa.closed {
 		total += billed(seg)
 	}
-	for _, seg := range oa.open {
-		if seg.count == 0 {
-			continue
+	for _, open := range [2][]leaseSeg{oa.open, oa.leases} {
+		for _, seg := range open {
+			if seg.count > 0 {
+				total += billed(leaseSeg{start: seg.start, end: t, count: seg.count})
+			}
 		}
-		total += billed(leaseSeg{start: seg.start, end: t, count: seg.count})
 	}
 	return float64(total) / float64(HourSeconds)
 }
@@ -282,12 +377,21 @@ func (a *Accountant) OwnerIntervals(owner string) []stats.Interval {
 	return out
 }
 
-// PeakNodes reports the maximum of per-hour peak held nodes across all
-// owners over [0, horizon): the paper's "peak resource consumption" in
-// nodes per hour (Figure 13).
-func (a *Accountant) PeakNodes(horizon int64) int {
-	buckets := stats.BucketMax(a.Intervals(), horizon, HourSeconds)
-	return stats.MaxInt(buckets)
+// PeakNodes reports the most nodes held across all owners at once: the
+// paper's "peak resource consumption" in nodes per hour (Figure 13), the
+// largest of HourlyNodes' buckets. It is a running maximum (see the
+// package doc); call it after CloseAll.
+func (a *Accountant) PeakNodes() int {
+	return max(a.peak, a.held)
+}
+
+// OwnerPeakNodes reports the most nodes owner held at once, as PeakNodes
+// does for all owners.
+func (a *Accountant) OwnerPeakNodes(owner string) int {
+	if oa, ok := a.owners[owner]; ok {
+		return max(oa.peak, oa.held)
+	}
+	return 0
 }
 
 // HourlyNodes returns the per-hour peak held nodes series across all

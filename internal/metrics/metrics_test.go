@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 // fakeClock provides a manually advanced now function.
@@ -184,7 +187,7 @@ func TestPeakNodes(t *testing.T) {
 	c.t = 4 * 3600
 	a.CloseAll(c.t, false)
 	// Hour 0: a=100 + b=50 -> 150. Hours 1-3: b=50.
-	if got := a.PeakNodes(c.t); got != 150 {
+	if got := a.PeakNodes(); got != 150 {
 		t.Errorf("PeakNodes = %d, want 150", got)
 	}
 	hourly := a.HourlyNodes(c.t)
@@ -314,5 +317,221 @@ func TestPropertyHeldMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestLeaseHandlesCloseTheirOwnBlock(t *testing.T) {
+	c := &fakeClock{}
+	a := NewAccountant(c.now)
+	a.Acquire("sp", 4) // a runtime-environment block under the same owner
+	first := a.AcquireLease("sp", 2)
+	c.t = 3600
+	second := a.AcquireLease("sp", 3)
+	c.t = 2 * 3600
+	// Closing the older lease leaves the newer one and the block open,
+	// whatever the acquire order.
+	if n, err := a.CloseLease(first); err != nil || n != 2 {
+		t.Fatalf("CloseLease(first) = %d, %v; want 2, nil", n, err)
+	}
+	if _, err := a.CloseLease(first); err == nil {
+		t.Error("second CloseLease of one lease succeeded")
+	}
+	if _, err := a.CloseLease(Lease{}); err == nil {
+		t.Error("CloseLease of the zero Lease succeeded")
+	}
+	if a.Held("sp") != 7 {
+		t.Errorf("Held = %d, want 7", a.Held("sp"))
+	}
+	// LIFO releases reach only blocks: the 3 leased nodes stay out of it.
+	if err := a.Release("sp", 5); err == nil {
+		t.Error("Release took leased nodes")
+	}
+	if err := a.Release("sp", 4); err != nil {
+		t.Fatal(err)
+	}
+	c.t = 3 * 3600
+	a.CloseAll(c.t, true)
+	// first: 2 nodes x 2h; second: 3 nodes x 2h (closed by CloseAll);
+	// block: 4 nodes x 2h.
+	if got := a.BilledNodeHours("sp"); got != 4+6+8 {
+		t.Errorf("BilledNodeHours = %g, want 18", got)
+	}
+	// Acquires 4+2+3, CloseLease 2, Release 4, CloseAll 3.
+	if got := a.NodesAdjusted("sp"); got != 18 {
+		t.Errorf("NodesAdjusted = %d, want 18", got)
+	}
+	if _, err := a.CloseLease(second); err == nil {
+		t.Error("CloseLease after CloseAll succeeded")
+	}
+	if got := a.PeakNodes(); got != 9 {
+		t.Errorf("PeakNodes = %d, want 9", got)
+	}
+}
+
+// refSeg is a lease segment of the reference model in
+// TestRunningPeaksMatchBucketMax.
+type refSeg struct {
+	start, end int64
+	count      int
+}
+
+// refOwner is one owner in the reference model: its LIFO blocks, its open
+// lease handles, every closed segment, and its adjustment count.
+type refOwner struct {
+	blocks   []refSeg
+	leases   []Lease
+	starts   []refSeg // start and count of leases[i]
+	closed   []refSeg
+	adjusted int
+}
+
+func (o *refOwner) blockNodes() int {
+	n := 0
+	for _, b := range o.blocks {
+		n += b.count
+	}
+	return n
+}
+
+// Property: after CloseAll(h), the running peaks equal the maximum of
+// stats.BucketMax's hourly buckets over the closed intervals, for the
+// platform and for each owner, and billing and adjustments equal sums
+// over a reference model's segments. Scripts mix LIFO blocks, releases
+// spanning several blocks, lease handles, same-instant acquire/release
+// pairs in both orders and zero-length leases.
+func TestRunningPeaksMatchBucketMax(t *testing.T) {
+	owners := []string{"a", "b", "c"}
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := &fakeClock{}
+		a := NewAccountant(c.now)
+		ref := map[string]*refOwner{}
+		for _, o := range owners {
+			ref[o] = &refOwner{}
+		}
+		acquire := func(o string, n int) {
+			a.Acquire(o, n)
+			ref[o].blocks = append(ref[o].blocks, refSeg{start: c.t, count: n})
+			ref[o].adjusted += n
+		}
+		release := func(o string, n int) {
+			if err := a.Release(o, n); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			r := ref[o]
+			r.adjusted += n
+			for n > 0 {
+				top := &r.blocks[len(r.blocks)-1]
+				take := min(top.count, n)
+				r.closed = append(r.closed, refSeg{start: top.start, end: c.t, count: take})
+				top.count -= take
+				n -= take
+				if top.count == 0 {
+					r.blocks = r.blocks[:len(r.blocks)-1]
+				}
+			}
+		}
+		lease := func(o string, n int) {
+			r := ref[o]
+			r.leases = append(r.leases, a.AcquireLease(o, n))
+			r.starts = append(r.starts, refSeg{start: c.t, count: n})
+			r.adjusted += n
+		}
+		closeLease := func(o string, i int) {
+			r := ref[o]
+			n, err := a.CloseLease(r.leases[i])
+			if err != nil || n != r.starts[i].count {
+				t.Fatalf("seed %d: CloseLease = %d, %v; want %d", seed, n, err, r.starts[i].count)
+			}
+			r.closed = append(r.closed, refSeg{start: r.starts[i].start, end: c.t, count: n})
+			r.adjusted += n
+			last := len(r.leases) - 1
+			r.leases[i], r.starts[i] = r.leases[last], r.starts[last]
+			r.leases, r.starts = r.leases[:last], r.starts[:last]
+		}
+		steps := 5 + rng.Intn(60)
+		for s := 0; s < steps; s++ {
+			switch rng.Intn(4) {
+			case 0: // the clock stays: the next change shares the instant
+			case 1:
+				c.t += int64(1 + rng.Intn(600))
+			default:
+				c.t += int64(rng.Intn(3)) * HourSeconds / 2
+			}
+			o := owners[rng.Intn(len(owners))]
+			r := ref[o]
+			n := 1 + rng.Intn(8)
+			switch op := rng.Intn(8); {
+			case op == 0:
+				acquire(o, n)
+			case op == 1 && r.blockNodes() > 0:
+				// May span several blocks.
+				release(o, 1+rng.Intn(r.blockNodes()))
+			case op == 2:
+				lease(o, n)
+			case op == 3 && len(r.leases) > 0:
+				closeLease(o, rng.Intn(len(r.leases)))
+			case op == 4:
+				// Acquire then release at one instant: a zero-length
+				// block, on top of whatever the instant already holds.
+				acquire(o, n)
+				release(o, n)
+			case op == 5:
+				// A zero-length lease.
+				lease(o, n)
+				closeLease(o, len(r.leases)-1)
+			case op == 6 && len(r.leases) > 0:
+				// Release then acquire at one instant: a swap.
+				closeLease(o, rng.Intn(len(r.leases)))
+				lease(o, n)
+			case op == 7 && r.blockNodes() > 0:
+				release(o, 1+rng.Intn(r.blockNodes()))
+				acquire(o, n)
+			default:
+				lease(o, n)
+			}
+		}
+		h := c.t + int64(rng.Intn(3))*int64(rng.Intn(5400))
+		countAdjust := rng.Intn(2) == 0
+		a.CloseAll(h, countAdjust)
+		c.t = h
+
+		if got, want := a.PeakNodes(), stats.MaxInt(stats.BucketMax(a.Intervals(), h, HourSeconds)); got != want {
+			t.Fatalf("seed %d: PeakNodes = %d, BucketMax over Intervals = %d", seed, got, want)
+		}
+		for _, o := range owners {
+			r := ref[o]
+			for _, b := range r.blocks {
+				if b.count > 0 {
+					r.closed = append(r.closed, refSeg{start: b.start, end: h, count: b.count})
+				}
+			}
+			for _, s := range r.starts {
+				r.closed = append(r.closed, refSeg{start: s.start, end: h, count: s.count})
+			}
+			var billedSec int64
+			adjusted := r.adjusted
+			for _, s := range r.closed {
+				billedSec += billed(leaseSeg{start: s.start, end: s.end, count: s.count})
+			}
+			if countAdjust {
+				adjusted += r.blockNodes()
+				for _, s := range r.starts {
+					adjusted += s.count
+				}
+			}
+			if got, want := a.OwnerPeakNodes(o), stats.MaxInt(stats.BucketMax(a.OwnerIntervals(o), h, HourSeconds)); got != want {
+				t.Fatalf("seed %d: OwnerPeakNodes(%s) = %d, BucketMax over OwnerIntervals = %d", seed, o, got, want)
+			}
+			if got, want := a.BilledNodeHours(o), float64(billedSec)/float64(HourSeconds); got != want {
+				t.Fatalf("seed %d: BilledNodeHours(%s) = %g, segments sum to %g", seed, o, got, want)
+			}
+			if got := a.NodesAdjusted(o); got != adjusted {
+				t.Fatalf("seed %d: NodesAdjusted(%s) = %d, want %d", seed, o, got, adjusted)
+			}
+			if a.Held(o) != 0 {
+				t.Fatalf("seed %d: Held(%s) = %d after CloseAll", seed, o, a.Held(o))
+			}
+		}
 	}
 }

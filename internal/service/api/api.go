@@ -335,6 +335,10 @@ func builtinWorkload(req submitBody) (dawningcloud.Workload, int64, error) {
 			FixedNodes: 144, Params: dawningcloud.HTCPolicy(80, 1.5),
 		}
 	case "montage":
+		if req.Days != 0 {
+			return dawningcloud.Workload{}, 0, fmt.Errorf(
+				"days: the montage workload's accounting window comes from the workflow; omit days (got %d)", req.Days)
+		}
 		var err error
 		wl, err = dawningcloud.MontageWorkload(seed, 0)
 		if err != nil {

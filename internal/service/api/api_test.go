@@ -554,7 +554,8 @@ func TestScenarioCatalogAndErrors(t *testing.T) {
 // an inline scenario spec, a NASA or BLUE system run and a suite run —
 // answers 400 for one day past synth.MaxDays, for 2^30 days and for the
 // window whose length in seconds overflows, before generating anything.
-// The bound itself is accepted.
+// So does a Montage system run, which takes no day count at all. The
+// bound itself is accepted.
 func TestDaysOutOfRangeIs400(t *testing.T) {
 	srv, _ := newTestServer(t, dawningcloud.ServiceConfig{Workers: 1})
 	forms := map[string]string{
@@ -562,7 +563,10 @@ func TestDaysOutOfRangeIs400(t *testing.T) {
 			"providers":[{"name":"m","source":{"kind":"workflow","generator":"paper-montage"}}]}}`,
 		"system nasa": `{"system":"DCS","workload":"nasa","days":%d}`,
 		"system blue": `{"system":"DCS","workload":"blue","days":%d}`,
-		"experiments": `{"experiments":["table1"],"days":%d}`,
+		// Montage takes its window from the workflow, so any days is
+		// refused rather than dropped.
+		"system montage": `{"system":"DCS","workload":"montage","days":%d}`,
+		"experiments":    `{"experiments":["table1"],"days":%d}`,
 	}
 	for name, form := range forms {
 		for _, days := range []int{synth.MaxDays + 1, 1 << 30, 106751991167301} {

@@ -206,7 +206,7 @@ func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
 		a := systems.ProviderAgg{
 			Name:      p.wl.Name,
 			Class:     p.wl.Class,
-			Owners:    []string{p.wl.Name},
+			Owner:     p.wl.Name,
 			Submitted: p.submitted,
 			Completed: p.completed,
 			Adjusted:  -1,
@@ -231,7 +231,7 @@ func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
 		aggs = append(aggs, systems.ProviderAgg{
 			Name:      p.wl.Name,
 			Class:     p.wl.Class,
-			Owners:    []string{p.wl.Name},
+			Owner:     p.wl.Name,
 			Completed: p.completed,
 			Adjusted:  -1,
 		})

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/csf"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -80,72 +81,82 @@ func (x *DRPInstance) aggs() []ProviderAgg {
 	return aggs
 }
 
+// drpHTC is one HTC provider's end users: every job is an end user
+// leasing its nodes from the resource provider, under the provider's
+// accounting owner.
+type drpHTC struct {
+	engine    *sim.Engine
+	prov      *csf.ProvisionService
+	name      string
+	submitted int
+	completed int
+}
+
+// agg reports the provider aggregate so far.
+func (p *drpHTC) agg() ProviderAgg {
+	return ProviderAgg{
+		Name:      p.name,
+		Class:     job.HTC,
+		Owner:     p.name,
+		Submitted: p.submitted,
+		Completed: p.completed,
+		Adjusted:  -1,
+	}
+}
+
 // drpLease is one end user's whole-job lease: submit acquires, the same
 // node fires again at completion to release. One struct (from a single
 // per-workload slab) and one bound callback cover both events, so the
 // run's hot loop schedules completions without allocating.
 type drpLease struct {
-	engine    *sim.Engine
-	prov      *csf.ProvisionService
-	owner     string
-	j         *job.Job
-	completed *int
-	leased    bool
-	fn        func()
+	p      *drpHTC
+	j      *job.Job
+	lease  metrics.Lease
+	leased bool
+	fn     func()
 }
 
 func (l *drpLease) fire() {
+	p := l.p
 	if !l.leased {
-		granted := l.prov.RequestDynamic(l.owner, l.j.Nodes)
+		lease, granted := p.prov.RequestLease(p.name, l.j.Nodes)
 		if granted < l.j.Nodes {
 			// Capacity-bound cloud: the end user walks away (the
 			// DRP model has no queue to wait in). Return any
 			// partial best-effort grant.
 			if granted > 0 {
-				if err := l.prov.Release(l.owner, granted); err != nil {
+				if err := p.prov.ReleaseLease(p.name, lease); err != nil {
 					panic(fmt.Sprintf("systems: drp partial release: %v", err))
 				}
 			}
 			return
 		}
+		l.lease = lease
 		l.leased = true
-		l.engine.Schedule(l.j.Runtime, l.fn)
+		p.engine.Schedule(l.j.Runtime, l.fn)
 		return
 	}
-	if err := l.prov.Release(l.owner, l.j.Nodes); err != nil {
-		panic(fmt.Sprintf("systems: drp release %s: %v", l.owner, err))
+	if err := p.prov.ReleaseLease(p.name, l.lease); err != nil {
+		panic(fmt.Sprintf("systems: drp release %s/u%d: %v", p.name, l.j.ID, err))
 	}
-	*l.completed++
+	p.completed++
 }
 
 // runDRPHTC schedules every independent job as its own end-user lease:
 // acquire at submit, run immediately, release at completion. It returns a
 // collector producing the provider aggregate after the run.
 func runDRPHTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) func() ProviderAgg {
-	owners := make([]string, 0, len(wl.Jobs))
-	completed := new(int)
+	p := &drpHTC{engine: engine, prov: prov, name: wl.Name, submitted: len(wl.Jobs)}
 	leases := make([]drpLease, len(wl.Jobs))
-	for i := range wl.Jobs {
-		j := &wl.Jobs[i]
-		owner := fmt.Sprintf("%s/u%d", wl.Name, j.ID)
-		owners = append(owners, owner)
+	for i := range leases {
 		l := &leases[i]
-		*l = drpLease{engine: engine, prov: prov, owner: owner, j: j, completed: completed}
+		*l = drpLease{p: p, j: &wl.Jobs[i]}
 		l.fn = l.fire
 	}
 	engine.ScheduleBatch(len(leases),
 		func(i int) sim.Time { return leases[i].j.Submit },
 		func(i int) { leases[i].fire() })
-	return func() ProviderAgg {
-		return ProviderAgg{
-			Name:      wl.Name,
-			Class:     job.HTC,
-			Owners:    owners,
-			Submitted: len(wl.Jobs),
-			Completed: *completed,
-			Adjusted:  -1,
-		}
-	}
+	return p.agg
 }
 
 // drpWorkflowRun executes one workflow with unbounded leasing and node
@@ -297,7 +308,7 @@ func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Work
 		agg := ProviderAgg{
 			Name:     wl.Name,
 			Class:    job.MTC,
-			Owners:   []string{owner},
+			Owner:    owner,
 			Adjusted: -1,
 		}
 		var span sim.Time

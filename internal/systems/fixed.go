@@ -148,7 +148,7 @@ func (s Servers) Aggs(t sim.Time, owned bool) []ProviderAgg {
 		a := ProviderAgg{
 			Name:      p.wl.Name,
 			Class:     p.wl.Class,
-			Owners:    []string{p.wl.Name},
+			Owner:     p.wl.Name,
 			Submitted: p.srv.Submitted(),
 			Completed: p.srv.CompletedBy(t),
 			Adjusted:  -1,

@@ -29,9 +29,11 @@ import (
 //     merged provider rows in that same order — never from per-partition
 //     subtotals, whose float addition order would differ.
 //   - The global PeakNodes recomputes stats.BucketMax over the union of
-//     all partitions' lease intervals; BucketMax is a pure function of
-//     the interval multiset, so how the intervals were partitioned is
-//     invisible.
+//     all partitions' lease intervals. A serial run reads the
+//     accountant's running peak instead, which is the largest of those
+//     buckets over the same intervals (see package metrics); BucketMax
+//     is a pure function of the interval multiset, so how the intervals
+//     were partitioned is invisible.
 //   - OverheadSeconds is the single multiply float64(total)*setupCost,
 //     exactly as serial, not a sum of per-partition products.
 func runPartitioned(ctx context.Context, b Backend, workloads []Workload, opts Options) (Result, error) {

@@ -135,19 +135,12 @@ func (x *FixedInstance) AttachStream(wl *Workload, src stream.Source, f *stream.
 	return nil
 }
 
-// drpStreamAgg accumulates one streamed DRP HTC provider's aggregate as
-// records are delivered.
-type drpStreamAgg struct {
-	owners    []string
-	submitted int
-	completed int
-}
-
 // AttachStream admits one provider workload to an open DRP instance
 // through f; see FixedInstance.AttachStream for the streaming contract.
 // Note that DRP's per-end-user accounting is inherently O(total jobs):
-// every delivered job creates an owner entry, so only the task schedule
-// (not the accountant) is bounded by the feeder window.
+// every delivered job adds a lease segment to its provider's account, so
+// only the task schedule (not the accountant) is bounded by the feeder
+// window.
 func (x *DRPInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
 	if err := x.Claim(wl.Name); err != nil {
 		return err
@@ -157,29 +150,17 @@ func (x *DRPInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Fe
 		if src == nil {
 			src = stream.FromJobs(wl.Jobs)
 		}
-		agg := &drpStreamAgg{}
-		name := wl.Name
+		p := &drpHTC{engine: x.engine, prov: x.prov, name: wl.Name}
 		err := f.AddJobs(wl.Name, src, nil, func(j *job.Job) {
-			owner := fmt.Sprintf("%s/u%d", name, j.ID)
-			agg.owners = append(agg.owners, owner)
-			agg.submitted++
-			l := &drpLease{engine: x.engine, prov: x.prov, owner: owner, j: j, completed: &agg.completed}
+			p.submitted++
+			l := &drpLease{p: p, j: j}
 			l.fn = l.fire
 			l.fire()
 		})
 		if err != nil {
 			return err
 		}
-		x.runners = append(x.runners, func() ProviderAgg {
-			return ProviderAgg{
-				Name:      name,
-				Class:     job.HTC,
-				Owners:    agg.owners,
-				Submitted: agg.submitted,
-				Completed: agg.completed,
-				Adjusted:  -1,
-			}
-		})
+		x.runners = append(x.runners, p.agg)
 	case job.MTC:
 		if src != nil {
 			return fmt.Errorf("systems: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)

@@ -26,7 +26,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Workload is one service provider's workload plus its per-system
@@ -204,7 +203,7 @@ func (r Result) Provider(name string) (ProviderResult, bool) {
 type ProviderAgg struct {
 	Name      string
 	Class     job.Class
-	Owners    []string // accounting owner keys to aggregate
+	Owner     string // the provider's accounting owner key
 	Submitted int
 	Completed int
 	TPS       float64
@@ -212,7 +211,7 @@ type ProviderAgg struct {
 }
 
 // BuildResult assembles a Result from the accountant state. Callers must
-// have settled leases with CloseAll already.
+// have settled leases with CloseAll at horizon already.
 func BuildResult(system string, horizon sim.Time, acct *metrics.Accountant, setupCost float64, rejected int, aggs []ProviderAgg) Result {
 	res := Result{System: system, Horizon: horizon, RejectedRequests: rejected}
 	for _, a := range aggs {
@@ -222,24 +221,18 @@ func BuildResult(system string, horizon sim.Time, acct *metrics.Accountant, setu
 			Submitted:      a.Submitted,
 			Completed:      a.Completed,
 			TasksPerSecond: a.TPS,
+			NodeHours:      acct.BilledNodeHours(a.Owner),
+			PeakNodes:      acct.OwnerPeakNodes(a.Owner),
+			NodesAdjusted:  a.Adjusted,
 		}
-		var ivs []stats.Interval
-		for _, owner := range a.Owners {
-			pr.NodeHours += acct.BilledNodeHours(owner)
-			if a.Adjusted < 0 {
-				pr.NodesAdjusted += acct.NodesAdjusted(owner)
-			}
-			ivs = append(ivs, acct.OwnerIntervals(owner)...)
+		if a.Adjusted < 0 {
+			pr.NodesAdjusted = acct.NodesAdjusted(a.Owner)
 		}
-		if a.Adjusted >= 0 {
-			pr.NodesAdjusted = a.Adjusted
-		}
-		pr.PeakNodes = stats.MaxInt(stats.BucketMax(ivs, horizon, metrics.HourSeconds))
 		res.Providers = append(res.Providers, pr)
 		res.TotalNodeHours += pr.NodeHours
 		res.TotalNodesAdjusted += pr.NodesAdjusted
 	}
-	res.PeakNodes = acct.PeakNodes(horizon)
+	res.PeakNodes = acct.PeakNodes()
 	res.OverheadSeconds = float64(res.TotalNodesAdjusted) * setupCost
 	if horizon > 0 {
 		res.OverheadPerHour = res.OverheadSeconds / (float64(horizon) / 3600)
@@ -268,15 +261,15 @@ type ProviderWindow struct {
 func BuildWindow(acct *metrics.Accountant, t sim.Time, aggs []ProviderAgg) []ProviderWindow {
 	out := make([]ProviderWindow, 0, len(aggs))
 	for _, a := range aggs {
-		pw := ProviderWindow{Name: a.Name, Class: a.Class, Completed: a.Completed}
-		for _, owner := range a.Owners {
-			pw.NodeHours += acct.BilledNodeHoursThrough(owner, int64(t))
-			if a.Adjusted < 0 {
-				pw.Adjusted += acct.NodesAdjusted(owner)
-			}
+		pw := ProviderWindow{
+			Name:      a.Name,
+			Class:     a.Class,
+			Completed: a.Completed,
+			NodeHours: acct.BilledNodeHoursThrough(a.Owner, int64(t)),
+			Adjusted:  a.Adjusted,
 		}
-		if a.Adjusted >= 0 {
-			pw.Adjusted = a.Adjusted
+		if a.Adjusted < 0 {
+			pw.Adjusted = acct.NodesAdjusted(a.Owner)
 		}
 		out = append(out, pw)
 	}

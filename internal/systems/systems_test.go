@@ -219,6 +219,38 @@ func TestDRPCapacityBoundWalksAway(t *testing.T) {
 	}
 }
 
+func TestDRPBestEffortPartialGrantIsReturned(t *testing.T) {
+	opts := Options{Horizon: 4 * 3600, PoolCapacity: 10, Provision: policy.BestEffort}
+	res, err := Run(context.Background(), DRP, []Workload{tinyHTC()}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := res.Provider("htc")
+	// Jobs 1 and 2 hold 8 of the 10 nodes when job 3 asks for 8 at
+	// t=1200: best effort grants the 2 left, and the end user walks away
+	// at once, handing them back.
+	if p.Completed != 2 {
+		t.Errorf("Completed = %d, want 2", p.Completed)
+	}
+	// 4 + 4 node-hours for jobs 1 and 2, and the instant partial lease
+	// bills one hour: 2 node-hours.
+	if p.NodeHours != 10 {
+		t.Errorf("NodeHours = %.0f, want 10", p.NodeHours)
+	}
+	// 2*(4+4) for jobs 1 and 2, and 2*2 for the partial grant.
+	if p.NodesAdjusted != 20 {
+		t.Errorf("NodesAdjusted = %d, want 20", p.NodesAdjusted)
+	}
+	// The partial lease lasts no time, so it adds nothing to the peak.
+	if p.PeakNodes != 8 || res.PeakNodes != 8 {
+		t.Errorf("PeakNodes = %d (provider), %d (platform), want 8", p.PeakNodes, res.PeakNodes)
+	}
+	// A partial grant is not a rejection.
+	if res.RejectedRequests != 0 {
+		t.Errorf("RejectedRequests = %d, want 0", res.RejectedRequests)
+	}
+}
+
 func TestUnknownProviderLookup(t *testing.T) {
 	res := Result{Providers: []ProviderResult{{Name: "a"}}}
 	if _, ok := res.Provider("b"); ok {

@@ -3,10 +3,10 @@ package tre
 import (
 	"testing"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/nodepool"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workflow"

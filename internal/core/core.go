@@ -19,7 +19,6 @@ import (
 	"repro/internal/csf"
 	"repro/internal/job"
 	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/systems"
 	"repro/internal/tre"
 )
@@ -80,44 +79,35 @@ func Open(capacity int, cfg Config) (*Instance, error) {
 	return &Instance{Platform: p, cfg: cfg, framework: framework}, nil
 }
 
-// Attach admits one provider workload: its thin runtime environment is
-// created through the CSF lifecycle and its job arrivals are scheduled
-// on the instance clock.
+// Attach admits one provider workload: its thin runtime environment
+// walks through the CSF create-and-start lifecycle at the first
+// submission, and each job (HTC) or whole workflow (MTC) goes to its
+// server on arrival. An MTC runtime environment destroys itself once
+// every task of the workload completed.
 func (x *Instance) Attach(wl *systems.Workload) error {
 	if err := x.Claim(wl.Name); err != nil {
 		return err
 	}
+	cfg := tre.Config{Name: wl.Name, Params: wl.Params}
 	switch wl.Class {
 	case job.HTC:
-		srv, err := tre.NewHTCServer(x.Engine(), x.Provision(), tre.Config{
-			Name:         wl.Name,
-			Params:       wl.Params,
-			EasyBackfill: x.cfg.EasyBackfill,
-		})
+		cfg.EasyBackfill = x.cfg.EasyBackfill
+		srv, err := tre.NewHTCServer(x.Engine(), x.Provision(), cfg)
 		if err != nil {
 			return err
 		}
-		if err := createAndFeedHTC(x.Engine(), x.framework, srv, wl); err != nil {
-			return err
-		}
 		x.servers.Add(wl, srv)
+		return x.FeedJobs(wl, x.createTRE(wl.Name, "HTC", srv.Start), srv.Submit)
 	case job.MTC:
-		srv, err := tre.NewMTCServer(x.Engine(), x.Provision(), tre.Config{
-			Name:                wl.Name,
-			Params:              wl.Params,
-			DestroyOnCompletion: true,
-		})
+		srv, err := tre.NewMTCServer(x.Engine(), x.Provision(), cfg)
 		if err != nil {
 			return err
 		}
-		if err := createAndFeedMTC(x.Engine(), x.framework, srv, wl); err != nil {
-			return err
-		}
+		srv.DestroyAfter(len(wl.Jobs))
 		x.servers.Add(wl, srv)
-	default:
-		return fmt.Errorf("core: workload %s: unknown class %v", wl.Name, wl.Class)
+		return x.FeedWorkflows(wl, x.createTRE(wl.Name, "MTC", srv.Start), srv.SubmitWorkflow)
 	}
-	return nil
+	return fmt.Errorf("core: workload %s: unknown class %v", wl.Name, wl.Class)
 }
 
 // Finalize settles open leases at horizon and assembles the Result over
@@ -132,11 +122,12 @@ func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
 	return systems.BuildWindow(x.Accounting(), t, x.servers.Aggs(t, false))
 }
 
-// createTREAt issues the CSF create-and-start lifecycle for wl's thin
-// runtime environment at time t.
-func createTREAt(engine *sim.Engine, fw *csf.Framework, name, kind string, t sim.Time, start func() error) {
-	engine.At(t, func() {
-		_, err := fw.CreateTRE(name, kind, func() {
+// createTRE returns the start hook that walks a thin runtime
+// environment through the CSF create-and-start lifecycle, starting its
+// server once the TRE is running.
+func (x *Instance) createTRE(name, kind string, start func() error) func() {
+	return func() {
+		_, err := x.framework.CreateTRE(name, kind, func() {
 			if err := start(); err != nil {
 				panic(fmt.Sprintf("core: start TRE %s: %v", name, err))
 			}
@@ -144,79 +135,5 @@ func createTREAt(engine *sim.Engine, fw *csf.Framework, name, kind string, t sim
 		if err != nil {
 			panic(fmt.Sprintf("core: create TRE %s: %v", name, err))
 		}
-	})
-}
-
-// createAndFeedHTC walks the TRE through the CSF lifecycle at the
-// workload's first submission and schedules job arrivals.
-func createAndFeedHTC(engine *sim.Engine, fw *csf.Framework, srv *tre.Server, wl *systems.Workload) error {
-	createTREAt(engine, fw, wl.Name, "HTC", wl.FirstSubmit(), srv.Start)
-	jobs := wl.Jobs
-	engine.ScheduleBatch(len(jobs),
-		func(i int) sim.Time { return jobs[i].Submit },
-		func(i int) { srv.Submit(&jobs[i]) })
-	return nil
-}
-
-// createAndFeedMTC does the same for an MTC provider, submitting whole
-// workflows at their first task's submission time.
-func createAndFeedMTC(engine *sim.Engine, fw *csf.Framework, srv *tre.MTCServer, wl *systems.Workload) error {
-	createTREAt(engine, fw, wl.Name, "MTC", wl.FirstSubmit(), srv.Start)
-	for _, a := range systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core") {
-		engine.At(a.At, a.Run)
 	}
-	return nil
-}
-
-// AttachStream admits one provider workload fed through f instead of a
-// materialized schedule; see systems.FixedInstance.AttachStream for the
-// streaming contract (HTC jobs from src, MTC workloads as materialized
-// workflow actions, one shared feeder per instance).
-func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
-	if err := x.Claim(wl.Name); err != nil {
-		return err
-	}
-	switch wl.Class {
-	case job.HTC:
-		srv, err := tre.NewHTCServer(x.Engine(), x.Provision(), tre.Config{
-			Name:         wl.Name,
-			Params:       wl.Params,
-			EasyBackfill: x.cfg.EasyBackfill,
-		})
-		if err != nil {
-			return err
-		}
-		if src == nil {
-			src = stream.FromJobs(wl.Jobs)
-		}
-		err = f.AddJobs(wl.Name, src,
-			func(first sim.Time) { createTREAt(x.Engine(), x.framework, wl.Name, "HTC", first, srv.Start) },
-			func(j *job.Job) { srv.Submit(j) })
-		if err != nil {
-			return err
-		}
-		x.servers.Add(wl, srv)
-	case job.MTC:
-		if src != nil {
-			return fmt.Errorf("core: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
-		}
-		srv, err := tre.NewMTCServer(x.Engine(), x.Provision(), tre.Config{
-			Name:                wl.Name,
-			Params:              wl.Params,
-			DestroyOnCompletion: true,
-		})
-		if err != nil {
-			return err
-		}
-		actions := systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core")
-		err = f.AddActions(wl.Name, actions,
-			func(first sim.Time) { createTREAt(x.Engine(), x.framework, wl.Name, "MTC", first, srv.Start) })
-		if err != nil {
-			return err
-		}
-		x.servers.Add(wl, srv)
-	default:
-		return fmt.Errorf("core: workload %s: unknown class %v", wl.Name, wl.Class)
-	}
-	return nil
 }

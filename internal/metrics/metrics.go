@@ -163,11 +163,15 @@ func (a *Accountant) CloseLease(l Lease) (int, error) {
 // acquired blocks while keeping initial resources. Leases taken with
 // AcquireLease are not released here; CloseLease ends them.
 func (a *Accountant) Release(owner string, n int) error {
-	oa := a.owner(owner)
 	if n <= 0 {
 		return fmt.Errorf("metrics: release %d nodes", n)
 	}
-	if blocks := oa.held - oa.leased; n > blocks {
+	oa := a.owners[owner]
+	blocks := 0
+	if oa != nil {
+		blocks = oa.held - oa.leased
+	}
+	if n > blocks {
 		return fmt.Errorf("metrics: %s releasing %d nodes but holds %d", owner, n, blocks)
 	}
 	now := a.change(oa, -n)
@@ -277,42 +281,6 @@ func (a *Accountant) BilledNodeHoursThrough(owner string, t int64) float64 {
 	return float64(total) / float64(HourSeconds)
 }
 
-// TotalBilledNodeHoursThrough sums BilledNodeHoursThrough over all
-// owners: the running total behind the converging economies-of-scale
-// summary.
-func (a *Accountant) TotalBilledNodeHoursThrough(t int64) float64 {
-	var total float64
-	for _, name := range a.order {
-		total += a.BilledNodeHoursThrough(name, t)
-	}
-	return total
-}
-
-// ExactNodeHours reports owner's consumption without hourly rounding.
-func (a *Accountant) ExactNodeHours(owner string) float64 {
-	oa, ok := a.owners[owner]
-	if !ok {
-		return 0
-	}
-	var total int64
-	for _, seg := range oa.closed {
-		if seg.end > seg.start {
-			total += (seg.end - seg.start) * int64(seg.count)
-		}
-	}
-	return float64(total) / float64(HourSeconds)
-}
-
-// TotalBilledNodeHours sums billed consumption over all owners: the
-// resource provider's total resource consumption (Figure 12).
-func (a *Accountant) TotalBilledNodeHours() float64 {
-	var total float64
-	for _, name := range a.order {
-		total += a.BilledNodeHours(name)
-	}
-	return total
-}
-
 // NodesAdjusted reports the accumulated node count over owner's acquire and
 // release operations (Figure 14).
 func (a *Accountant) NodesAdjusted(owner string) int {
@@ -329,21 +297,6 @@ func (a *Accountant) TotalNodesAdjusted() int {
 		total += a.owners[name].nodesAdjusted
 	}
 	return total
-}
-
-// AdjustOps reports the number of acquire/release operations by owner.
-func (a *Accountant) AdjustOps(owner string) int {
-	if oa, ok := a.owners[owner]; ok {
-		return oa.adjustOps
-	}
-	return 0
-}
-
-// Owners lists owner names in first-seen order.
-func (a *Accountant) Owners() []string {
-	out := make([]string, len(a.order))
-	copy(out, a.order)
-	return out
 }
 
 // Intervals returns every closed lease as a stats.Interval, across all
@@ -379,8 +332,8 @@ func (a *Accountant) OwnerIntervals(owner string) []stats.Interval {
 
 // PeakNodes reports the most nodes held across all owners at once: the
 // paper's "peak resource consumption" in nodes per hour (Figure 13), the
-// largest of HourlyNodes' buckets. It is a running maximum (see the
-// package doc); call it after CloseAll.
+// largest of the hourly buckets stats.BucketMax takes over Intervals. It
+// is a running maximum (see the package doc); call it after CloseAll.
 func (a *Accountant) PeakNodes() int {
 	return max(a.peak, a.held)
 }
@@ -392,10 +345,4 @@ func (a *Accountant) OwnerPeakNodes(owner string) int {
 		return max(oa.peak, oa.held)
 	}
 	return 0
-}
-
-// HourlyNodes returns the per-hour peak held nodes series across all
-// owners, for plotting capacity-planning profiles.
-func (a *Accountant) HourlyNodes(horizon int64) []int {
-	return stats.BucketMax(a.Intervals(), horizon, HourSeconds)
 }

@@ -110,6 +110,19 @@ func TestReleaseErrors(t *testing.T) {
 	}
 }
 
+// TestRefusedReleaseOpensNoAccount pins that Release validates before
+// it touches the ledger: a refused release from an unknown owner leaves
+// no empty account behind.
+func TestRefusedReleaseOpensNoAccount(t *testing.T) {
+	a := NewAccountant(func() int64 { return 0 })
+	if err := a.Release("ghost", 1); err == nil {
+		t.Fatal("release from unknown owner succeeded")
+	}
+	if owners := a.Owners(); len(owners) != 0 {
+		t.Errorf("Owners = %v after a refused release, want none", owners)
+	}
+}
+
 func TestAcquireNonPositivePanics(t *testing.T) {
 	a := NewAccountant(func() int64 { return 0 })
 	defer func() {

@@ -25,9 +25,9 @@ import (
 
 	"repro/internal/csf"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/systems"
 )
 
@@ -126,8 +126,11 @@ func Open(capacity int, opts systems.Options) (*Instance, error) {
 	return &Instance{Platform: p, opts: opts}, nil
 }
 
-// Attach admits one provider workload: its spot cluster, market ticks
-// and job arrivals are scheduled on the instance clock.
+// Attach admits one provider workload: its spot cluster is acquired and
+// its market ticks start at the first submission, and each job (HTC) or
+// whole workflow (MTC) enters its queue on arrival. The provider's price
+// walk is seeded by attach order alone, so every feed sees the same
+// market.
 func (x *Instance) Attach(wl *systems.Workload) error {
 	if err := x.Claim(wl.Name); err != nil {
 		return err
@@ -140,59 +143,19 @@ func (x *Instance) Attach(wl *systems.Workload) error {
 		walk:    NewPriceWalk(x.opts.Seed + int64(len(x.providers))*7919 + 1),
 		running: make(map[int]runningTask),
 	}
-	if err := p.schedule(); err != nil {
-		return fmt.Errorf("spot: workload %s: %w", wl.Name, err)
-	}
-	x.providers = append(x.providers, p)
-	return nil
-}
-
-// AttachStream admits one provider workload fed through f instead of a
-// materialized schedule; see systems.FixedInstance.AttachStream for the
-// streaming contract. The provider's price walk keeps its attach-order
-// seed, so streamed and materialized runs see identical markets.
-func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
-	if err := x.Claim(wl.Name); err != nil {
-		return err
-	}
-	p := &spotProvider{
-		engine:  x.Engine(),
-		prov:    x.Provision(),
-		wl:      wl,
-		size:    wl.FixedNodes,
-		walk:    NewPriceWalk(x.opts.Seed + int64(len(x.providers))*7919 + 1),
-		running: make(map[int]runningTask),
-	}
-	acquire := func(first sim.Time) {
-		p.firstSubmit = first
-		x.Engine().At(first, func() {
-			p.tryAcquire()
-			p.stopTick = x.Engine().Every(sim.Hour, p.tick)
-		})
-	}
+	var err error
 	switch wl.Class {
 	case job.HTC:
-		if src == nil {
-			src = stream.FromJobs(wl.Jobs)
-		}
-		err := f.AddJobs(wl.Name, src, acquire, func(j *job.Job) {
-			p.submitted++
-			p.enqueue(j)
-		})
-		if err != nil {
-			return err
-		}
+		err = x.FeedJobs(wl, p.start, p.submit)
 	case job.MTC:
-		if src != nil {
-			return fmt.Errorf("spot: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
-		}
-		p.submitted = len(wl.Jobs)
-		p.initMTC()
-		if err := f.AddActions(wl.Name, p.workflowActions(), acquire); err != nil {
-			return err
-		}
+		p.unmet = make(map[int]int)
+		p.dependents = make(map[int][]*job.Job)
+		err = x.FeedWorkflows(wl, p.start, p.submitWorkflow)
 	default:
-		return fmt.Errorf("spot: workload %s: unknown class %v", wl.Name, wl.Class)
+		err = fmt.Errorf("unknown class %v", wl.Class)
+	}
+	if err != nil {
+		return fmt.Errorf("spot: workload %s: %w", wl.Name, err)
 	}
 	x.providers = append(x.providers, p)
 	return nil
@@ -255,9 +218,10 @@ type spotProvider struct {
 	wl     *systems.Workload
 	size   int
 
-	walk *PriceWalk
-	held bool
-	free int
+	walk  *PriceWalk
+	held  bool
+	lease metrics.Lease // the held cluster
+	free  int
 
 	queue   []*job.Job
 	running map[int]runningTask
@@ -275,67 +239,39 @@ type spotProvider struct {
 	lastDone    sim.Time
 }
 
-// schedule wires the provider's market ticks, cluster acquisition and job
-// arrivals onto the virtual clock.
-func (p *spotProvider) schedule() error {
-	wl := p.wl
-	p.firstSubmit = wl.FirstSubmit()
-	p.engine.At(p.firstSubmit, func() {
-		p.tryAcquire()
-		p.stopTick = p.engine.Every(sim.Hour, p.tick)
-	})
-	switch wl.Class {
-	case job.HTC:
-		p.submitted = len(wl.Jobs)
-		jobs := wl.Jobs
-		p.engine.ScheduleBatch(len(jobs),
-			func(i int) sim.Time { return jobs[i].Submit },
-			func(i int) { p.enqueue(&jobs[i]) })
-	case job.MTC:
-		p.submitted = len(wl.Jobs)
-		p.initMTC()
-		for _, a := range p.workflowActions() {
-			p.engine.At(a.At, a.Run)
+// start acquires the cluster at the provider's first submission and
+// starts the hourly market ticks.
+func (p *spotProvider) start() {
+	p.firstSubmit = p.engine.Now()
+	p.tryAcquire()
+	p.stopTick = p.engine.Every(sim.Hour, p.tick)
+}
+
+// submit admits one arriving HTC job.
+func (p *spotProvider) submit(j *job.Job) {
+	p.submitted++
+	p.enqueue(j)
+}
+
+// submitWorkflow admits one arriving workflow: dependency tracking is
+// wired and its root tasks enqueued.
+func (p *spotProvider) submitWorkflow(tasks []*job.Job) error {
+	p.submitted += len(tasks)
+	for _, t := range tasks {
+		if len(t.Deps) == 0 {
+			continue
 		}
-	default:
-		return fmt.Errorf("unknown class %v", wl.Class)
+		p.unmet[t.ID] = len(t.Deps)
+		for _, d := range t.Deps {
+			p.dependents[d] = append(p.dependents[d], t)
+		}
+	}
+	for _, t := range tasks {
+		if len(t.Deps) == 0 {
+			p.enqueue(t)
+		}
 	}
 	return nil
-}
-
-// initMTC prepares the provider's dependency-tracking state.
-func (p *spotProvider) initMTC() {
-	p.unmet = make(map[int]int)
-	p.dependents = make(map[int][]*job.Job)
-}
-
-// workflowActions builds one submission action per workflow of the
-// provider's workload, in first-seen order, wiring dependency tracking
-// and enqueueing root tasks — shared by the materialized attach loop and
-// the streamed action lane.
-func (p *spotProvider) workflowActions() []stream.Action {
-	groups := systems.WorkflowGroups(p.wl.Jobs)
-	actions := make([]stream.Action, 0, len(groups))
-	for _, g := range groups {
-		tasks := g.Tasks
-		actions = append(actions, stream.Action{At: g.At, Delta: g.Delta, Run: func() {
-			for _, t := range tasks {
-				if len(t.Deps) == 0 {
-					continue
-				}
-				p.unmet[t.ID] = len(t.Deps)
-				for _, d := range t.Deps {
-					p.dependents[d] = append(p.dependents[d], t)
-				}
-			}
-			for _, t := range tasks {
-				if len(t.Deps) == 0 {
-					p.enqueue(t)
-				}
-			}
-		}})
-	}
-	return actions
 }
 
 // tick advances the hourly price walk and flips the lease state across
@@ -356,18 +292,19 @@ func (p *spotProvider) tryAcquire() {
 	if p.held || p.finished || p.walk.Price() > bidPrice {
 		return
 	}
-	granted := p.prov.RequestDynamic(p.wl.Name, p.size)
+	lease, granted := p.prov.RequestLease(p.wl.Name, p.size)
 	if granted < p.size {
 		// Grant-or-reject yields 0 here; a best-effort partial grant is
 		// returned — spot instances are all-or-nothing.
 		if granted > 0 {
-			if err := p.prov.Release(p.wl.Name, granted); err != nil {
+			if err := p.prov.ReleaseLease(p.wl.Name, lease); err != nil {
 				panic(fmt.Sprintf("spot: partial release %s: %v", p.wl.Name, err))
 			}
 		}
 		return
 	}
 	p.held = true
+	p.lease = lease
 	p.free = p.size
 	p.dispatch()
 }
@@ -391,7 +328,7 @@ func (p *spotProvider) interrupt() {
 	p.queue = append(requeued, p.queue...)
 	p.held = false
 	p.free = 0
-	if err := p.prov.Release(p.wl.Name, p.size); err != nil {
+	if err := p.prov.ReleaseLease(p.wl.Name, p.lease); err != nil {
 		panic(fmt.Sprintf("spot: interrupt release %s: %v", p.wl.Name, err))
 	}
 }
@@ -443,11 +380,12 @@ func (p *spotProvider) complete(j *job.Job) {
 		}
 	}
 	delete(p.dependents, j.ID)
-	if p.wl.Class == job.MTC && p.completed+p.dropped == p.submitted {
-		// Mirror SSP's DestroyOnCompletion: a finished MTC runtime
-		// environment releases its lease instead of billing an idle spot
-		// cluster to the horizon (tasks stranded behind a dropped
-		// dependency keep the environment alive, like a stalled RE).
+	if p.wl.Class == job.MTC && p.completed+p.dropped == len(p.wl.Jobs) {
+		// Mirror SSP's MTC teardown: once every task of the workload is
+		// done, the runtime environment releases its lease instead of
+		// billing an idle spot cluster to the horizon (tasks stranded
+		// behind a dropped dependency keep the environment alive, like
+		// a stalled RE).
 		p.finish()
 		return
 	}
@@ -464,7 +402,7 @@ func (p *spotProvider) finish() {
 	if p.held {
 		p.held = false
 		p.free = 0
-		if err := p.prov.Release(p.wl.Name, p.size); err != nil {
+		if err := p.prov.ReleaseLease(p.wl.Name, p.lease); err != nil {
 			panic(fmt.Sprintf("spot: finish release %s: %v", p.wl.Name, err))
 		}
 	}

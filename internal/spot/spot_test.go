@@ -108,8 +108,8 @@ func TestRunCompletesMTCWorkflows(t *testing.T) {
 	if p.TasksPerSecond <= 0 {
 		t.Error("TasksPerSecond not positive")
 	}
-	// A finished MTC runtime environment releases its lease (SSP's
-	// DestroyOnCompletion semantics): the chains take well under two
+	// A finished MTC runtime environment releases its lease, as SSP's
+	// tears down once its tasks are done: the chains take well under two
 	// hours, so billing anywhere near the 48-hour horizon means the idle
 	// cluster kept leasing after the work drained.
 	if p.NodeHours > 4*12 {

@@ -6,11 +6,12 @@
 //
 // # Byte-identity invariant
 //
-// A fully drained streamed run must be byte-identical to the same
-// workload run materialized. The discrete-event kernel breaks same-time
-// ties by schedule-issue order (internal/sim), and the materialized
-// attach paths schedule every submission up front — before any event the
-// running simulation creates dynamically. Tie outcomes therefore depend
+// A streamed run must be byte-identical to the same workload run
+// materialized over the same horizon. The discrete-event kernel breaks
+// same-time ties by schedule-issue order (internal/sim), and materialized
+// feeding (systems.Platform.FeedJobs and FeedWorkflows without a feeder)
+// schedules every submission at attach — before any event the running
+// simulation creates dynamically. Tie outcomes therefore depend
 // on every submission at time T being scheduled (issued) before any
 // dynamically created event that fires at T.
 //
@@ -43,10 +44,14 @@
 // start hooks (server start, TRE creation) are issued immediately before
 // the lane's first record, again mirroring the materialized order.
 //
-// Identity holds for runs drained within the horizon: a materialized run
-// also schedules submissions past the horizon (they never fire but do
+// Identity also holds for runs the horizon cuts. A materialized run
+// schedules submissions past the horizon too (they never fire but do
 // consume issue numbers), which cannot affect outcomes, whereas the
-// Feeder simply never pulls them.
+// Feeder never pulls them; and no system counts an arrival at attach,
+// only at delivery, so neither run counts a submission past the horizon.
+// FuzzSerialMatchesStreamed in internal/streamrun pins this on random
+// workloads over every registered backend, with horizons that cut the
+// trace.
 //
 // # Bounded memory
 //

@@ -1,9 +1,12 @@
 // Package streamrun opens any registered backend for a streamed run:
-// one instance, one shared stream.Feeder, per-workload sources. It is
-// the bridge between the scenario/service layers and the per-system
-// AttachStream implementations, and carries the invariant they share: a
-// streamed run drained within its horizon is byte-identical to the
-// materialized run of the same jobs (see internal/stream).
+// one instance, one shared stream.Feeder, per-workload sources. It
+// switches the instance to streamed feeding (systems.Platform.Stream)
+// and then attaches every workload through the system's one Attach, the
+// same call a materialized run makes; only where the arrivals go
+// differs. A streamed run is byte-identical to the materialized run of
+// the same jobs over the same horizon (see internal/stream). The feeder
+// bounds the task schedule, not every system's state: DRP's accounting
+// stays O(jobs) even when streamed, one lease segment per delivered job.
 package streamrun
 
 import (
@@ -57,10 +60,10 @@ func Open(spec Spec) (systems.Instance, *stream.Feeder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f := stream.NewFeeder(inst.Engine(), spec.Feeder)
+	f := inst.Stream(spec.Feeder, spec.Sources)
 	for i := range spec.Workloads {
 		wl := &spec.Workloads[i]
-		if err := inst.AttachStream(wl, spec.Sources[wl.Name], f); err != nil {
+		if err := inst.Attach(wl); err != nil {
 			return nil, nil, fmt.Errorf("streamrun: %s: attach %s: %w", spec.System, wl.Name, err)
 		}
 	}

@@ -122,20 +122,24 @@ func Run(ctx context.Context, b Backend, workloads []Workload, opts Options) (Re
 // and assemble the Result. FixedInstance, DRPInstance, core.Instance and
 // spot.Instance implement it.
 //
+// Each system says once, in Attach, what a provider is on it: the
+// runtime environment or end users it gets, what runs at its first
+// submission, and what each arriving job or workflow does. Attach hands
+// the arrivals to the embedded Platform's FeedJobs or FeedWorkflows,
+// which schedule them all up front, or, once Stream switched the
+// instance to streamed feeding, put them on its one Feeder.
+//
 // Attached workloads must already be valid (Workload.Validate);
 // ValidateWorkloads over the whole intended set is the drivers' job,
 // which keeps the attach path free of redundant O(jobs) re-validation.
 type Instance interface {
 	// Engine exposes the instance's simulation engine.
 	Engine() *sim.Engine
-	// Attach admits one provider workload on a materialized schedule.
+	// Attach admits one provider workload.
 	Attach(wl *Workload) error
-	// AttachStream admits one provider workload fed through f: HTC jobs
-	// arrive from src (nil replays the workload's own jobs), MTC
-	// workloads keep their job slice and ride f as an action lane. The
-	// feeder must belong to this instance's engine and start after
-	// every attach.
-	AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error
+	// Stream switches every later Attach to streamed feeding and
+	// returns the instance's Feeder (see Platform.Stream).
+	Stream(opts stream.Options, sources map[string]stream.Source) *stream.Feeder
 	// Accounting exposes the accountant, so a partitioned run can
 	// recompute the global hourly peak over every partition's leases.
 	Accounting() *metrics.Accountant
@@ -155,15 +159,18 @@ type PartitionInstance = Instance
 
 // Platform is the state every instance shares: the engine, the cloud's
 // node pool, the accountant, the resource provision service, the
-// per-node setup cost and the provider names attached so far. Instances
-// embed it, which gives them Engine, PoolLoad and Accounting.
+// per-node setup cost, the provider names attached so far and, on a
+// streamed instance, its feeder and sources. Instances embed it, which
+// gives them Engine, PoolLoad, Accounting and Stream.
 type Platform struct {
-	engine *sim.Engine
-	pool   *nodepool.Pool
-	acct   *metrics.Accountant
-	prov   *csf.ProvisionService
-	setup  float64
-	seen   map[string]bool
+	engine  *sim.Engine
+	pool    *nodepool.Pool
+	acct    *metrics.Accountant
+	prov    *csf.ProvisionService
+	setup   float64
+	seen    map[string]bool
+	feeder  *stream.Feeder
+	sources map[string]stream.Source
 }
 
 // NewPlatform builds the shared state over a pool of capacity nodes

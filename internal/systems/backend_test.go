@@ -123,3 +123,44 @@ func TestPartitionedGateFallsBackOnWideMTC(t *testing.T) {
 		t.Errorf("wide-MTC partitioned request diverged from serial:\n got %+v\nwant %+v", got, serial)
 	}
 }
+
+// TestMTCLaterWorkflowAfterEarlierDrained runs one MTC provider whose
+// second workflow arrives long after the first drained, on every
+// registered backend. The runtime environment must outlive the first
+// workflow and tear down only once the workload's last task completed.
+func TestMTCLaterWorkflowAfterEarlierDrained(t *testing.T) {
+	chain := func(wf string, first int, at int64) []job.Job {
+		return []job.Job{
+			{ID: first, Submit: at, Runtime: 100, Nodes: 1, Class: job.MTC, Workflow: wf},
+			{ID: first + 1, Submit: at, Runtime: 100, Nodes: 1, Class: job.MTC, Workflow: wf, Deps: []int{first}},
+		}
+	}
+	wl := systems.Workload{
+		Name:       "m",
+		Class:      job.MTC,
+		Jobs:       append(chain("w1", 1, 0), chain("w2", 3, 10000)...),
+		FixedNodes: 2,
+		Params:     policy.MTCDefaults(1, 2),
+	}
+	// Fixed runtime environments hold 2 nodes over [0, 10200): 3 billed
+	// hours. DawningCloud holds its 1 initial node as long. DRP leases 1
+	// node per workflow for under an hour each.
+	for _, tc := range []struct {
+		system    string
+		nodeHours float64
+	}{{"DCS", 6}, {"SSP", 6}, {"DRP", 2}, {"DawningCloud", 3}, {"ssp-spot", 6}} {
+		b, err := registry.Default.Backend(tc.system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := systems.Run(context.Background(), b, []systems.Workload{wl}, systems.Options{Horizon: 24 * 3600})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.system, err)
+		}
+		p, _ := res.Provider("m")
+		if p.Submitted != 4 || p.Completed != 4 || p.NodeHours != tc.nodeHours {
+			t.Errorf("%s: submitted %d, completed %d, %g node-hours; want 4, 4, %g",
+				tc.system, p.Submitted, p.Completed, p.NodeHours, tc.nodeHours)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stream"
 )
 
 // DRP is the direct resource provision model (Deelman et al.): every
@@ -29,7 +28,7 @@ var DRP = Backend{
 // Instance).
 type DRPInstance struct {
 	Platform
-	runners []func() ProviderAgg
+	collectors []func() ProviderAgg
 }
 
 // OpenDRP opens an empty DRP instance over a pool of capacity nodes.
@@ -41,21 +40,27 @@ func OpenDRP(capacity int, opts Options) (*DRPInstance, error) {
 	return &DRPInstance{Platform: p}, nil
 }
 
-// Attach admits one provider workload, scheduling its end users' leases
-// on the instance clock.
+// Attach admits one provider workload: every arriving job (HTC) or
+// workflow (MTC) is an end user leasing its nodes from the resource
+// provider under the provider's accounting owner. DRP's accounting stays
+// O(jobs) even when streamed: every delivered job adds a lease segment
+// to its provider's account, so only the task schedule is bounded by
+// the feeder window.
 func (x *DRPInstance) Attach(wl *Workload) error {
 	if err := x.Claim(wl.Name); err != nil {
 		return err
 	}
 	switch wl.Class {
 	case job.HTC:
-		x.runners = append(x.runners, runDRPHTC(x.engine, x.prov, wl))
+		p := &drpHTC{engine: x.engine, prov: x.prov, name: wl.Name}
+		x.collectors = append(x.collectors, p.agg)
+		return x.FeedJobs(wl, nil, p.deliver)
 	case job.MTC:
-		x.runners = append(x.runners, runDRPMTC(x.engine, x.prov, wl))
-	default:
-		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
+		p := &drpMTC{engine: x.engine, prov: x.prov, name: wl.Name, owner: wl.Name + "/mtc"}
+		x.collectors = append(x.collectors, p.agg)
+		return x.FeedWorkflows(wl, nil, p.submit)
 	}
-	return nil
+	return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
 }
 
 // Finalize settles open leases at horizon and assembles the Result over
@@ -74,8 +79,8 @@ func (x *DRPInstance) Window(t sim.Time) []ProviderWindow {
 
 // aggs collects every attached provider's aggregate, in attach order.
 func (x *DRPInstance) aggs() []ProviderAgg {
-	aggs := make([]ProviderAgg, 0, len(x.runners))
-	for _, collect := range x.runners {
+	aggs := make([]ProviderAgg, 0, len(x.collectors))
+	for _, collect := range x.collectors {
 		aggs = append(aggs, collect())
 	}
 	return aggs
@@ -90,6 +95,10 @@ type drpHTC struct {
 	name      string
 	submitted int
 	completed int
+
+	// free recycles lease records across end users, so a run allocates
+	// one per end user running at once, not one per job.
+	free []*drpLease
 }
 
 // agg reports the provider aggregate so far.
@@ -104,72 +113,131 @@ func (p *drpHTC) agg() ProviderAgg {
 	}
 }
 
-// drpLease is one end user's whole-job lease: submit acquires, the same
-// node fires again at completion to release. One struct (from a single
-// per-workload slab) and one bound callback cover both events, so the
-// run's hot loop schedules completions without allocating.
+// drpLease is one running end user's whole-job lease, armed as its
+// completion timer through one pre-bound callback.
 type drpLease struct {
-	p      *drpHTC
-	j      *job.Job
-	lease  metrics.Lease
-	leased bool
-	fn     func()
+	p     *drpHTC
+	j     *job.Job
+	lease metrics.Lease
+	fn    func()
 }
 
-func (l *drpLease) fire() {
-	p := l.p
-	if !l.leased {
-		lease, granted := p.prov.RequestLease(p.name, l.j.Nodes)
-		if granted < l.j.Nodes {
-			// Capacity-bound cloud: the end user walks away (the
-			// DRP model has no queue to wait in). Return any
-			// partial best-effort grant.
-			if granted > 0 {
-				if err := p.prov.ReleaseLease(p.name, lease); err != nil {
-					panic(fmt.Sprintf("systems: drp partial release: %v", err))
-				}
+// deliver is one end user's arrival: lease the job's nodes and run it at
+// once, releasing them at completion.
+func (p *drpHTC) deliver(j *job.Job) {
+	p.submitted++
+	lease, granted := p.prov.RequestLease(p.name, j.Nodes)
+	if granted < j.Nodes {
+		// Capacity-bound cloud: the end user walks away (the DRP model
+		// has no queue to wait in). Return any partial best-effort
+		// grant.
+		if granted > 0 {
+			if err := p.prov.ReleaseLease(p.name, lease); err != nil {
+				panic(fmt.Sprintf("systems: drp partial release: %v", err))
 			}
-			return
 		}
-		l.lease = lease
-		l.leased = true
-		p.engine.Schedule(l.j.Runtime, l.fn)
 		return
 	}
+	var l *drpLease
+	if k := len(p.free); k > 0 {
+		l = p.free[k-1]
+		p.free = p.free[:k-1]
+	} else {
+		l = &drpLease{p: p}
+		l.fn = l.done
+	}
+	l.j, l.lease = j, lease
+	p.engine.Schedule(j.Runtime, l.fn)
+}
+
+// done completes the end user's job and closes its lease.
+func (l *drpLease) done() {
+	p := l.p
 	if err := p.prov.ReleaseLease(p.name, l.lease); err != nil {
 		panic(fmt.Sprintf("systems: drp release %s/u%d: %v", p.name, l.j.ID, err))
 	}
 	p.completed++
+	l.j = nil
+	p.free = append(p.free, l)
 }
 
-// runDRPHTC schedules every independent job as its own end-user lease:
-// acquire at submit, run immediately, release at completion. It returns a
-// collector producing the provider aggregate after the run.
-func runDRPHTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) func() ProviderAgg {
-	p := &drpHTC{engine: engine, prov: prov, name: wl.Name, submitted: len(wl.Jobs)}
-	leases := make([]drpLease, len(wl.Jobs))
-	for i := range leases {
-		l := &leases[i]
-		*l = drpLease{p: p, j: &wl.Jobs[i]}
-		l.fn = l.fire
+// drpMTC is one MTC provider's workflows, each an end user running with
+// unbounded leasing on leases of its own under the owner <name>/mtc.
+type drpMTC struct {
+	engine *sim.Engine
+	prov   *csf.ProvisionService
+	name   string
+	owner  string
+	runs   []*drpWorkflowRun
+}
+
+// submit starts one arriving workflow: dependency tracking is wired and
+// every root task starts at once.
+func (p *drpMTC) submit(tasks []*job.Job) error {
+	r := &drpWorkflowRun{
+		engine:    p.engine,
+		prov:      p.prov,
+		owner:     p.owner,
+		remaining: len(tasks),
+		unmet:     make(map[int]int),
+		deps:      make(map[int][]*job.Job),
+		first:     p.engine.Now(),
 	}
-	engine.ScheduleBatch(len(leases),
-		func(i int) sim.Time { return leases[i].j.Submit },
-		func(i int) { leases[i].fire() })
-	return p.agg
+	p.runs = append(p.runs, r)
+	for _, t := range tasks {
+		if len(t.Deps) == 0 {
+			continue
+		}
+		r.unmet[t.ID] = len(t.Deps)
+		for _, d := range t.Deps {
+			r.deps[d] = append(r.deps[d], t)
+		}
+	}
+	for _, t := range tasks {
+		if len(t.Deps) == 0 {
+			r.start(t)
+		}
+	}
+	return nil
+}
+
+// agg reports the provider aggregate over the workflows delivered so
+// far; throughput spans the first submission to the last completion.
+func (p *drpMTC) agg() ProviderAgg {
+	agg := ProviderAgg{
+		Name:     p.name,
+		Class:    job.MTC,
+		Owner:    p.owner,
+		Adjusted: -1,
+	}
+	var first, last sim.Time
+	for i, r := range p.runs {
+		agg.Submitted += r.remaining + r.completed
+		agg.Completed += r.completed
+		if i == 0 || r.first < first {
+			first = r.first
+		}
+		if r.last > last {
+			last = r.last
+		}
+	}
+	if span := last - first; span > 0 {
+		agg.TPS = float64(agg.Completed) / float64(span)
+	}
+	return agg
 }
 
 // drpWorkflowRun executes one workflow with unbounded leasing and node
 // reuse: ready tasks start immediately, completed tasks return their nodes
-// to an idle pool consumed before new leases, and the whole lease releases
-// when the workflow drains.
+// to an idle pool consumed before new leases, and the workflow closes
+// exactly the leases it took when it drains.
 type drpWorkflowRun struct {
 	engine *sim.Engine
 	prov   *csf.ProvisionService
 	owner  string
 
 	idle      int
-	leased    int
+	leases    []metrics.Lease
 	remaining int
 	unmet     map[int]int
 	deps      map[int][]*job.Job
@@ -220,18 +288,17 @@ func (r *drpWorkflowRun) start(t *job.Job) {
 		usedIdle := r.idle
 		need := take - usedIdle
 		r.idle = 0
-		granted := r.prov.RequestDynamic(r.owner, need)
+		lease, granted := r.prov.RequestLease(r.owner, need)
+		if granted > 0 {
+			r.leases = append(r.leases, lease)
+		}
 		if granted < need {
 			// Capacity-bound cloud: the task cannot run; the workflow
 			// stalls here (counted as incomplete). Keep whatever nodes
 			// we hold for later tasks.
 			r.idle = usedIdle + granted
-			if granted > 0 {
-				r.leased += granted
-			}
 			return
 		}
-		r.leased += need
 	}
 	r.scheduleComplete(t)
 }
@@ -249,86 +316,13 @@ func (r *drpWorkflowRun) complete(t *job.Job) {
 		}
 	}
 	delete(r.deps, t.ID)
-	if r.remaining == 0 && r.leased > 0 {
-		if err := r.prov.Release(r.owner, r.leased); err != nil {
-			panic(fmt.Sprintf("systems: drp workflow release: %v", err))
+	if r.remaining == 0 {
+		for _, l := range r.leases {
+			if err := r.prov.ReleaseLease(r.owner, l); err != nil {
+				panic(fmt.Sprintf("systems: drp workflow release: %v", err))
+			}
 		}
-		r.leased = 0
+		r.leases = nil
 		r.idle = 0
-	}
-}
-
-// runDRPMTC schedules a provider's workflows, one lease scope per provider.
-func runDRPMTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) func() ProviderAgg {
-	actions, collect := drpWorkflowActions(engine, prov, wl)
-	for _, a := range actions {
-		engine.At(a.At, a.Run)
-	}
-	return collect
-}
-
-// drpWorkflowActions builds one release action per workflow of wl — in
-// first-seen order, for the materialized attach loop or a streamed
-// action lane — plus the provider-aggregate collector over them.
-func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) ([]stream.Action, func() ProviderAgg) {
-	owner := wl.Name + "/mtc"
-	groups := WorkflowGroups(wl.Jobs)
-	runs := make([]*drpWorkflowRun, 0, len(groups))
-	actions := make([]stream.Action, 0, len(groups))
-	for _, g := range groups {
-		tasks := g.Tasks
-		run := &drpWorkflowRun{
-			engine:    engine,
-			prov:      prov,
-			owner:     owner,
-			remaining: len(tasks),
-			unmet:     make(map[int]int),
-			deps:      make(map[int][]*job.Job),
-			first:     g.At,
-		}
-		runs = append(runs, run)
-		actions = append(actions, stream.Action{At: g.At, Delta: g.Delta, Run: func() {
-			for _, t := range tasks {
-				if len(t.Deps) == 0 {
-					continue
-				}
-				run.unmet[t.ID] = len(t.Deps)
-				for _, d := range t.Deps {
-					run.deps[d] = append(run.deps[d], t)
-				}
-			}
-			for _, t := range tasks {
-				if len(t.Deps) == 0 {
-					run.start(t)
-				}
-			}
-		}})
-	}
-	return actions, func() ProviderAgg {
-		agg := ProviderAgg{
-			Name:     wl.Name,
-			Class:    job.MTC,
-			Owner:    owner,
-			Adjusted: -1,
-		}
-		var span sim.Time
-		var firstSet bool
-		var first, last sim.Time
-		for _, run := range runs {
-			agg.Submitted += run.remaining + run.completed
-			agg.Completed += run.completed
-			if !firstSet || run.first < first {
-				first = run.first
-				firstSet = true
-			}
-			if run.last > last {
-				last = run.last
-			}
-		}
-		span = last - first
-		if span > 0 {
-			agg.TPS = float64(agg.Completed) / float64(span)
-		}
-		return agg
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/job"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/tre"
 )
@@ -67,41 +68,64 @@ func OpenFixed(system string, owned bool, capacity int, opts Options) (*FixedIns
 	return &FixedInstance{Platform: p, system: system, owned: owned}, nil
 }
 
-// Attach admits one provider workload: its runtime environment is
-// created and its job arrivals are scheduled on the instance clock. The
+// Attach admits one provider workload: its fixed-size runtime
+// environment starts at the first submission, and each job (HTC) or
+// whole workflow (MTC) goes to its server on arrival. An MTC runtime
+// environment tears down once every task of the workload completed. The
 // workload's first submission must not be in the instance's past.
 func (x *FixedInstance) Attach(wl *Workload) error {
 	if err := x.Claim(wl.Name); err != nil {
 		return err
 	}
-	params := fixedParams(wl)
+	cfg := tre.Config{Name: wl.Name, Params: fixedParams(wl)}
 	switch wl.Class {
 	case job.HTC:
-		srv, err := tre.NewHTCServer(x.engine, x.prov, tre.Config{Name: wl.Name, Params: params})
+		srv, err := tre.NewHTCServer(x.engine, x.prov, cfg)
 		if err != nil {
 			return err
 		}
-		if err := startAndFeedHTC(x.engine, srv, wl); err != nil {
-			return err
-		}
 		x.servers.Add(wl, srv)
+		return x.FeedJobs(wl, mustStart(x.engine, srv.Start), srv.Submit)
 	case job.MTC:
-		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
-			Name:                wl.Name,
-			Params:              params,
-			DestroyOnCompletion: true,
-		})
+		srv, err := tre.NewMTCServer(x.engine, x.prov, cfg)
 		if err != nil {
 			return err
 		}
-		if err := startAndFeedMTC(x.engine, srv, wl); err != nil {
-			return err
-		}
+		srv.DestroyAfter(len(wl.Jobs))
 		x.servers.Add(wl, srv)
-	default:
-		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
+		return x.FeedWorkflows(wl, mustStart(x.engine, srv.Start), srv.SubmitWorkflow)
 	}
-	return nil
+	return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
+}
+
+// fixedParams derives the runtime-environment policy parameters the
+// fixed-size systems use for wl.
+func fixedParams(wl *Workload) policy.Params {
+	params := policy.Params{
+		InitialNodes:      wl.FixedNodes,
+		ThresholdRatio:    neverRatio,
+		ScanInterval:      wl.Params.ScanInterval,
+		IdleCheckInterval: wl.Params.IdleCheckInterval,
+	}
+	if params.ScanInterval <= 0 {
+		params.ScanInterval = 60
+	}
+	if params.IdleCheckInterval <= 0 {
+		params.IdleCheckInterval = 3600
+	}
+	return params
+}
+
+// mustStart adapts a server's Start to a start hook that panics with
+// context on failure: server startup failure is a configuration error,
+// and the paper's provision policy guarantees initial grants on an
+// adequately sized pool.
+func mustStart(engine *sim.Engine, start func() error) func() {
+	return func() {
+		if err := start(); err != nil {
+			panic(fmt.Sprintf("systems: server start at t=%d: %v", engine.Now(), err))
+		}
+	}
 }
 
 // Finalize settles open leases at horizon and assembles the Result over
@@ -162,43 +186,4 @@ func (s Servers) Aggs(t sim.Time, owned bool) []ProviderAgg {
 		aggs = append(aggs, a)
 	}
 	return aggs
-}
-
-// startAndFeedHTC starts the server at the workload's first submission and
-// schedules every job submission on the virtual clock in one batch.
-func startAndFeedHTC(engine *sim.Engine, srv *tre.Server, wl *Workload) error {
-	if err := startAt(engine, wl.FirstSubmit(), srv.Start); err != nil {
-		return err
-	}
-	jobs := wl.Jobs
-	engine.ScheduleBatch(len(jobs),
-		func(i int) sim.Time { return jobs[i].Submit },
-		func(i int) { srv.Submit(&jobs[i]) })
-	return nil
-}
-
-// startAndFeedMTC starts the MTC server and submits whole workflows at
-// their first task's submission time (the service provider submits the
-// workflow description; the trigger monitor stages the tasks).
-func startAndFeedMTC(engine *sim.Engine, srv *tre.MTCServer, wl *Workload) error {
-	if err := startAt(engine, wl.FirstSubmit(), srv.Start); err != nil {
-		return err
-	}
-	for _, a := range MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "systems") {
-		engine.At(a.At, a.Run)
-	}
-	return nil
-}
-
-// startAt runs start on the virtual clock at time t (immediately when the
-// clock is already there), converting start errors into panics carrying
-// context: server startup failure is a configuration error, and the paper's
-// provision policy guarantees initial grants on an adequately sized pool.
-func startAt(engine *sim.Engine, t sim.Time, start func() error) error {
-	engine.At(t, func() {
-		if err := start(); err != nil {
-			panic(fmt.Sprintf("systems: server start at t=%d: %v", t, err))
-		}
-	})
-	return nil
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/job"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/tre"
 )
 
 // WorkflowGroup is one workflow of an MTC workload: its tasks in
@@ -21,8 +19,7 @@ type WorkflowGroup struct {
 }
 
 // WorkflowGroups splits jobs into workflows in first-seen order — the
-// order every materialized MTC attach path schedules them, which
-// streamed runs must reproduce for same-time ties.
+// order FeedWorkflows submits them in, on either feed.
 func WorkflowGroups(jobs []job.Job) []WorkflowGroup {
 	index := make(map[string]int)
 	var groups []WorkflowGroup
@@ -46,132 +43,83 @@ func WorkflowGroups(jobs []job.Job) []WorkflowGroup {
 	return groups
 }
 
-// MTCWorkflowActions builds one submission action per workflow, in
-// first-seen order, shared by the materialized attach loops (issued via
-// engine.At) and the streamed action lanes (issued by the Feeder).
-// errPrefix labels the panic on a rejected submission.
-func MTCWorkflowActions(submit func([]*job.Job) error, name string, jobs []job.Job, errPrefix string) []stream.Action {
-	groups := WorkflowGroups(jobs)
-	actions := make([]stream.Action, 0, len(groups))
-	for _, g := range groups {
-		g := g
-		actions = append(actions, stream.Action{At: g.At, Delta: g.Delta, Run: func() {
+// Stream switches the platform to streamed feeding and returns its one
+// Feeder: every later FeedJobs and FeedWorkflows puts its arrivals on
+// the feeder instead of scheduling them all at attach. sources maps
+// workload names to HTC job sources; an HTC workload without one
+// replays its own jobs, and an MTC workload must have none (whole
+// workflows are the streamed unit). Call it before the first attach and
+// Start the feeder after the last.
+func (p *Platform) Stream(opts stream.Options, sources map[string]stream.Source) *stream.Feeder {
+	p.feeder = stream.NewFeeder(p.engine, opts)
+	p.sources = sources
+	return p.feeder
+}
+
+// FeedJobs puts wl's job arrivals on the clock: start, if non-nil, runs
+// at the first submission ahead of its delivery, and deliver receives
+// each job at its submit time. A materialized platform schedules the
+// start event and then every job as one batch; a streamed one hands
+// both to its feeder as a job lane.
+func (p *Platform) FeedJobs(wl *Workload, start func(), deliver func(*job.Job)) error {
+	if p.feeder != nil {
+		src := p.sources[wl.Name]
+		if src == nil {
+			src = stream.FromJobs(wl.Jobs)
+		}
+		return p.feeder.AddJobs(wl.Name, src, p.startHook(start), deliver)
+	}
+	if start != nil {
+		p.engine.At(wl.FirstSubmit(), start)
+	}
+	jobs := wl.Jobs
+	p.engine.ScheduleBatch(len(jobs),
+		func(i int) sim.Time { return jobs[i].Submit },
+		func(i int) { deliver(&jobs[i]) })
+	return nil
+}
+
+// FeedWorkflows puts wl's workflows on the clock, each submitted whole
+// at its earliest task's submit time, in first-seen order (see
+// WorkflowGroups); start is as for FeedJobs. A materialized platform
+// schedules the start event and then one event per workflow; a streamed
+// one hands them to its feeder as an action lane. A refused submission
+// is a configuration error and panics.
+func (p *Platform) FeedWorkflows(wl *Workload, start func(), submit func(tasks []*job.Job) error) error {
+	groups := WorkflowGroups(wl.Jobs)
+	runs := make([]func(), len(groups))
+	for i := range groups {
+		g := &groups[i]
+		runs[i] = func() {
 			if err := submit(g.Tasks); err != nil {
-				panic(fmt.Sprintf("%s: submit workflow %s/%s: %v", errPrefix, name, g.Key, err))
+				panic(fmt.Sprintf("systems: submit workflow %s/%s: %v", wl.Name, g.Key, err))
 			}
-		}})
-	}
-	return actions
-}
-
-// fixedParams derives the runtime-environment policy parameters the
-// fixed-size systems use for wl.
-func fixedParams(wl *Workload) policy.Params {
-	params := policy.Params{
-		InitialNodes:      wl.FixedNodes,
-		ThresholdRatio:    neverRatio,
-		ScanInterval:      wl.Params.ScanInterval,
-		IdleCheckInterval: wl.Params.IdleCheckInterval,
-	}
-	if params.ScanInterval <= 0 {
-		params.ScanInterval = 60
-	}
-	if params.IdleCheckInterval <= 0 {
-		params.IdleCheckInterval = 3600
-	}
-	return params
-}
-
-// AttachStream admits one provider workload fed through f instead of a
-// materialized schedule. HTC jobs arrive from src (when src is nil the
-// workload's own job slice is replayed as a source); MTC workloads keep
-// their materialized job slice — whole workflows are the streamed unit —
-// and ride f as an action lane so cross-lane ties replay exactly. The
-// feeder must belong to this instance's engine and be started after
-// every attach.
-func (x *FixedInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
-	if err := x.Claim(wl.Name); err != nil {
-		return err
-	}
-	params := fixedParams(wl)
-	switch wl.Class {
-	case job.HTC:
-		srv, err := tre.NewHTCServer(x.engine, x.prov, tre.Config{Name: wl.Name, Params: params})
-		if err != nil {
-			return err
 		}
-		if src == nil {
-			src = stream.FromJobs(wl.Jobs)
-		}
-		err = f.AddJobs(wl.Name, src,
-			func(first sim.Time) { startAt(x.engine, first, srv.Start) },
-			func(j *job.Job) { srv.Submit(j) })
-		if err != nil {
-			return err
-		}
-		x.servers.Add(wl, srv)
-	case job.MTC:
-		if src != nil {
+	}
+	if p.feeder != nil {
+		if p.sources[wl.Name] != nil {
 			return fmt.Errorf("systems: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
 		}
-		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
-			Name:                wl.Name,
-			Params:              params,
-			DestroyOnCompletion: true,
-		})
-		if err != nil {
-			return err
+		actions := make([]stream.Action, len(groups))
+		for i, g := range groups {
+			actions[i] = stream.Action{At: g.At, Delta: g.Delta, Run: runs[i]}
 		}
-		actions := MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "systems")
-		err = f.AddActions(wl.Name, actions,
-			func(first sim.Time) { startAt(x.engine, first, srv.Start) })
-		if err != nil {
-			return err
-		}
-		x.servers.Add(wl, srv)
-	default:
-		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
+		return p.feeder.AddActions(wl.Name, actions, p.startHook(start))
+	}
+	if start != nil {
+		p.engine.At(wl.FirstSubmit(), start)
+	}
+	for i, g := range groups {
+		p.engine.At(g.At, runs[i])
 	}
 	return nil
 }
 
-// AttachStream admits one provider workload to an open DRP instance
-// through f; see FixedInstance.AttachStream for the streaming contract.
-// Note that DRP's per-end-user accounting is inherently O(total jobs):
-// every delivered job adds a lease segment to its provider's account, so
-// only the task schedule (not the accountant) is bounded by the feeder
-// window.
-func (x *DRPInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
-	if err := x.Claim(wl.Name); err != nil {
-		return err
+// startHook adapts start to the feeder's lane start hook, which issues
+// the start event at the lane's first record.
+func (p *Platform) startHook(start func()) func(first sim.Time) {
+	if start == nil {
+		return nil
 	}
-	switch wl.Class {
-	case job.HTC:
-		if src == nil {
-			src = stream.FromJobs(wl.Jobs)
-		}
-		p := &drpHTC{engine: x.engine, prov: x.prov, name: wl.Name}
-		err := f.AddJobs(wl.Name, src, nil, func(j *job.Job) {
-			p.submitted++
-			l := &drpLease{p: p, j: j}
-			l.fn = l.fire
-			l.fire()
-		})
-		if err != nil {
-			return err
-		}
-		x.runners = append(x.runners, p.agg)
-	case job.MTC:
-		if src != nil {
-			return fmt.Errorf("systems: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
-		}
-		actions, collect := drpWorkflowActions(x.engine, x.prov, wl)
-		if err := f.AddActions(wl.Name, actions, nil); err != nil {
-			return err
-		}
-		x.runners = append(x.runners, collect)
-	default:
-		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
-	}
-	return nil
+	return func(first sim.Time) { p.engine.At(first, start) }
 }

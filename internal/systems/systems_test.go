@@ -201,6 +201,34 @@ func TestDRPMTCReusesNodes(t *testing.T) {
 	}
 }
 
+// TestDRPOverlappingWorkflowsBillTheirOwnLeases runs one MTC provider
+// whose two 1-node workflows overlap, [0, 3500) and [3000, 3700). Each
+// workflow closes the lease it took, so each bills one hour; returning
+// the newest node when the first drains would bill [0, 3700) as two.
+func TestDRPOverlappingWorkflowsBillTheirOwnLeases(t *testing.T) {
+	wl := Workload{
+		Name:  "mtc",
+		Class: job.MTC,
+		Jobs: []job.Job{
+			{ID: 1, Submit: 0, Runtime: 3500, Nodes: 1, Class: job.MTC, Workflow: "a"},
+			{ID: 2, Submit: 3000, Runtime: 700, Nodes: 1, Class: job.MTC, Workflow: "b"},
+		},
+		FixedNodes: 1,
+		Params:     policy.MTCDefaults(1, 2),
+	}
+	res, err := Run(context.Background(), DRP, []Workload{wl}, Options{Horizon: 24 * 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := res.Provider("mtc")
+	if p.NodeHours != 2 {
+		t.Errorf("NodeHours = %g, want 2 (one billed hour per workflow)", p.NodeHours)
+	}
+	if p.Completed != 2 || p.PeakNodes != 2 {
+		t.Errorf("Completed = %d, PeakNodes = %d, want 2 and 2", p.Completed, p.PeakNodes)
+	}
+}
+
 func TestDRPCapacityBoundWalksAway(t *testing.T) {
 	w := tinyHTC()
 	opts := Options{Horizon: 4 * 3600, PoolCapacity: 4}

@@ -30,7 +30,6 @@ type MTCServer struct {
 	waiting    map[taskKey]*job.Job // tasks with unmet dependencies
 	unmet      map[taskKey]int      // remaining unmet dependency counts
 	dependents map[taskKey][]taskKey
-	done       map[taskKey]bool
 }
 
 // NewMTCServer builds an MTC TRE server (FCFS, 3-second scans unless
@@ -49,7 +48,6 @@ func NewMTCServer(engine *sim.Engine, prov *csf.ProvisionService, cfg Config) (*
 		waiting:    make(map[taskKey]*job.Job),
 		unmet:      make(map[taskKey]int),
 		dependents: make(map[taskKey][]taskKey),
-		done:       make(map[taskKey]bool),
 	}
 	base.completeHook = m.triggerMonitor
 	return m, nil
@@ -83,7 +81,6 @@ func (m *MTCServer) SubmitWorkflow(tasks []*job.Job) error {
 		key := taskKey{wf: wf, id: t.ID}
 		m.keyOf[t] = key
 		m.noteSubmit()
-		m.total++
 		if len(t.Deps) == 0 {
 			m.queue.Push(t)
 			continue
@@ -106,7 +103,6 @@ func (m *MTCServer) triggerMonitor(j *job.Job) {
 		return
 	}
 	delete(m.keyOf, j)
-	m.done[key] = true
 	for _, depKey := range m.dependents[key] {
 		m.unmet[depKey]--
 		if m.unmet[depKey] == 0 {
@@ -118,6 +114,14 @@ func (m *MTCServer) triggerMonitor(j *job.Job) {
 	}
 	delete(m.dependents, key)
 }
+
+// DestroyAfter makes the TRE tear itself down (releasing all nodes, the
+// initial lease included) once that many tasks have completed: the
+// paper's MTC provider ends its service after its workload's workflows
+// run. Attach passes the workload's task count, so a later workflow
+// keeps the TRE alive even after an earlier one drained. Zero, the
+// default, keeps the TRE up.
+func (m *MTCServer) DestroyAfter(tasks int) { m.destroyAfter = tasks }
 
 // WaitingTasks reports tasks still blocked on dependencies.
 func (m *MTCServer) WaitingTasks() int { return len(m.waiting) }

@@ -7,9 +7,9 @@
 // resource policy. The MTC TRE adds the trigger monitor: workflow tasks
 // enter the scheduling queue only when their dependencies complete, the
 // queue is scanned every three seconds and dispatched FCFS, and the TRE can
-// destroy itself once its workflows finish (the service provider ends the
-// computing service). Web portals are the emulation's job source and are
-// not modelled.
+// destroy itself once its workload's tasks finish (the service provider
+// ends the computing service; see MTCServer.DestroyAfter). Web portals are
+// the emulation's job source and are not modelled.
 package tre
 
 import (
@@ -36,10 +36,6 @@ type Config struct {
 	// backfilling wired to the server's running-job state (an ablation
 	// extension; the paper's policy avoids runtime estimates).
 	EasyBackfill bool
-	// DestroyOnCompletion tears the TRE down (releasing all nodes, the
-	// initial lease included) once every submitted job completed. The
-	// paper's MTC provider ends its service after the workflow runs.
-	DestroyOnCompletion bool
 }
 
 // Server is the common machinery of both TRE flavours.
@@ -52,11 +48,11 @@ type Server struct {
 	owned int // nodes currently leased (initial + dynamic)
 	busy  int // nodes running jobs
 
-	submitted   int
-	total       int // jobs expected (for DestroyOnCompletion)
-	completions []sim.Time
-	firstSubmit sim.Time
-	lastDone    sim.Time
+	submitted    int
+	destroyAfter int // completions that end the TRE; 0 never
+	completions  []sim.Time
+	firstSubmit  sim.Time
+	lastDone     sim.Time
 
 	running   map[*job.Job]sim.Time // job -> end time (for backfill)
 	stopScan  func()
@@ -182,7 +178,6 @@ func (s *Server) Submit(j *job.Job) {
 		return
 	}
 	s.noteSubmit()
-	s.total++
 	s.queue.Push(j)
 	if s.started {
 		s.dispatch()
@@ -280,7 +275,7 @@ func (s *Server) complete(j *job.Job) {
 	// Load queued work onto the freed nodes immediately; waiting for the
 	// next scan would idle them for up to a full scan interval.
 	s.dispatch()
-	if s.cfg.DestroyOnCompletion && len(s.completions) == s.total && s.queue.Len() == 0 && s.busy == 0 {
+	if len(s.completions) == s.destroyAfter {
 		if err := s.Destroy(); err != nil {
 			panic(fmt.Sprintf("tre: self-destroy of %s: %v", s.cfg.Name, err))
 		}

@@ -344,13 +344,13 @@ func TestMTCWorkflowRunsInDependencyOrder(t *testing.T) {
 func TestMTCSelfDestroyReleasesNodes(t *testing.T) {
 	f := newFixture(t, 1000)
 	m, err := NewMTCServer(f.engine, f.prov, Config{
-		Name:                "mtc-auto",
-		Params:              policy.MTCDefaults(10, 8),
-		DestroyOnCompletion: true,
+		Name:   "mtc-auto",
+		Params: policy.MTCDefaults(10, 8),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.DestroyAfter(1)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -417,13 +417,13 @@ func TestMTCDemandCountsOnlyReadyTasks(t *testing.T) {
 func TestMontageThroughDawningCloudTRE(t *testing.T) {
 	f := newFixture(t, 10000)
 	m, err := NewMTCServer(f.engine, f.prov, Config{
-		Name:                "mtc-montage",
-		Params:              policy.MTCDefaults(10, 8),
-		DestroyOnCompletion: true,
+		Name:   "mtc-montage",
+		Params: policy.MTCDefaults(10, 8),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.DestroyAfter(1000)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}

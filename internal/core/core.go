@@ -83,8 +83,12 @@ func Open(capacity int, cfg Config) (*Instance, error) {
 // walks through the CSF create-and-start lifecycle at the first
 // submission, and each job (HTC) or whole workflow (MTC) goes to its
 // server on arrival. An MTC runtime environment destroys itself once
-// every task of the workload completed.
+// every task of the workload completed. The initial lease must fit the
+// pool.
 func (x *Instance) Attach(wl *systems.Workload) error {
+	if _, capacity := x.PoolLoad(); wl.Params.InitialNodes > capacity {
+		return fmt.Errorf("core: workload %s: runtime environment of %d nodes exceeds the pool's %d", wl.Name, wl.Params.InitialNodes, capacity)
+	}
 	if err := x.Claim(wl.Name); err != nil {
 		return err
 	}

@@ -58,7 +58,6 @@ type ownerAccount struct {
 	peak          int   // max held after each instant before at
 	at            int64 // instant of the last change
 	nodesAdjusted int   // sum of node counts over acquire+release operations
-	adjustOps     int
 }
 
 // Lease is a handle to one block of nodes taken with AcquireLease. The
@@ -116,7 +115,6 @@ func (a *Accountant) change(oa *ownerAccount, n int) int64 {
 	a.held += n
 	oa.held += n
 	oa.nodesAdjusted += max(n, -n)
-	oa.adjustOps++
 	return now
 }
 
@@ -217,7 +215,6 @@ func (oa *ownerAccount) settle(segs []leaseSeg, end int64, countAdjust bool) {
 		oa.closed = append(oa.closed, leaseSeg{start: seg.start, end: end, count: seg.count})
 		if countAdjust {
 			oa.nodesAdjusted += seg.count
-			oa.adjustOps++
 		}
 	}
 }

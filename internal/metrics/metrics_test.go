@@ -146,9 +146,6 @@ func TestAdjustmentCounters(t *testing.T) {
 	if got := a.NodesAdjusted("sp"); got != 20 {
 		t.Errorf("NodesAdjusted = %d, want 20 (10+5+5)", got)
 	}
-	if got := a.AdjustOps("sp"); got != 3 {
-		t.Errorf("AdjustOps = %d, want 3", got)
-	}
 	a.CloseAll(10000, true)
 	if got := a.NodesAdjusted("sp"); got != 30 {
 		t.Errorf("NodesAdjusted after CloseAll(true) = %d, want 30", got)
@@ -243,7 +240,7 @@ func TestIntervalsSortedAndComplete(t *testing.T) {
 func TestUnknownOwnerQueries(t *testing.T) {
 	a := NewAccountant(func() int64 { return 0 })
 	if a.BilledNodeHours("x") != 0 || a.ExactNodeHours("x") != 0 ||
-		a.NodesAdjusted("x") != 0 || a.AdjustOps("x") != 0 || a.Held("x") != 0 {
+		a.NodesAdjusted("x") != 0 || a.Held("x") != 0 {
 		t.Error("unknown owner should report zeros")
 	}
 }

@@ -30,14 +30,6 @@ func (a *Accountant) TotalBilledNodeHours() float64 {
 	return total
 }
 
-// AdjustOps reports the number of acquire/release operations by owner.
-func (a *Accountant) AdjustOps(owner string) int {
-	if oa, ok := a.owners[owner]; ok {
-		return oa.adjustOps
-	}
-	return 0
-}
-
 // Owners lists owner names in first-seen order.
 func (a *Accountant) Owners() []string {
 	out := make([]string, len(a.order))

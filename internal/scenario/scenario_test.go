@@ -468,3 +468,39 @@ func TestRunReportsCompileErrors(t *testing.T) {
 		t.Error("empty provider list ran")
 	}
 }
+
+// TestRuntimeEnvironmentLargerThanPoolRefused runs one 128-node NASA
+// provider on an 8-node pool on every backend. The systems that lease
+// a runtime environment at start (DCS, SSP, DawningCloud) must refuse
+// the run with an error naming the workload instead of panicking at
+// start; DRP and ssp-spot, which lease per job or retry, still run.
+func TestRuntimeEnvironmentLargerThanPoolRefused(t *testing.T) {
+	for _, b := range registry.Default.Backends() {
+		s, err := ParseBytes([]byte(`{"name":"org-pool","days":1,"systems":["` + b.Name + `"],"pool":{"capacity":8},
+			"providers":[{"name":"org","fixed_nodes":128,"source":{"kind":"synth","model":"nasa"}}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panicked: %v", b.Name, p)
+				}
+			}()
+			rep, err := Run(s, 1)
+			switch b.Name {
+			case "DRP", "ssp-spot":
+				if err != nil {
+					t.Errorf("%s: %v", b.Name, err)
+				} else if p, _ := rep.Base[b.Name].Provider("org"); p.Submitted == 0 {
+					t.Errorf("%s: nothing submitted", b.Name)
+				}
+			default:
+				if err == nil || !strings.Contains(err.Error(), "workload org: runtime environment of") ||
+					!strings.HasSuffix(err.Error(), "exceeds the pool's 8") {
+					t.Errorf("%s: err = %v, want the runtime environment refused", b.Name, err)
+				}
+			}
+		}()
+	}
+}

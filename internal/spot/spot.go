@@ -29,6 +29,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/systems"
+	"repro/internal/workflow"
 )
 
 // Name is the system's registered name.
@@ -148,8 +149,6 @@ func (x *Instance) Attach(wl *systems.Workload) error {
 	case job.HTC:
 		err = x.FeedJobs(wl, p.start, p.submit)
 	case job.MTC:
-		p.unmet = make(map[int]int)
-		p.dependents = make(map[int][]*job.Job)
 		err = x.FeedWorkflows(wl, p.start, p.submitWorkflow)
 	default:
 		err = fmt.Errorf("unknown class %v", wl.Class)
@@ -226,9 +225,7 @@ type spotProvider struct {
 	queue   []*job.Job
 	running map[int]runningTask
 
-	// MTC dependency state.
-	unmet      map[int]int
-	dependents map[int][]*job.Job
+	tracker workflow.Tracker // MTC dependency state
 
 	submitted   int
 	completed   int
@@ -253,25 +250,10 @@ func (p *spotProvider) submit(j *job.Job) {
 	p.enqueue(j)
 }
 
-// submitWorkflow admits one arriving workflow: dependency tracking is
-// wired and its root tasks enqueued.
+// submitWorkflow admits one arriving workflow, enqueueing its root tasks.
 func (p *spotProvider) submitWorkflow(tasks []*job.Job) error {
 	p.submitted += len(tasks)
-	for _, t := range tasks {
-		if len(t.Deps) == 0 {
-			continue
-		}
-		p.unmet[t.ID] = len(t.Deps)
-		for _, d := range t.Deps {
-			p.dependents[d] = append(p.dependents[d], t)
-		}
-	}
-	for _, t := range tasks {
-		if len(t.Deps) == 0 {
-			p.enqueue(t)
-		}
-	}
-	return nil
+	return p.tracker.Add(tasks, p.enqueue)
 }
 
 // tick advances the hourly price walk and flips the lease state across
@@ -372,14 +354,7 @@ func (p *spotProvider) complete(j *job.Job) {
 	p.free += j.Nodes
 	p.completed++
 	p.lastDone = p.engine.Now()
-	for _, dep := range p.dependents[j.ID] {
-		p.unmet[dep.ID]--
-		if p.unmet[dep.ID] == 0 {
-			delete(p.unmet, dep.ID)
-			p.enqueue(dep)
-		}
-	}
-	delete(p.dependents, j.ID)
+	p.tracker.Done(j, p.enqueue)
 	if p.wl.Class == job.MTC && p.completed+p.dropped == len(p.wl.Jobs) {
 		// Mirror SSP's MTC teardown: once every task of the workload is
 		// done, the runtime environment releases its lease instead of

@@ -164,3 +164,49 @@ func TestMTCLaterWorkflowAfterEarlierDrained(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedWorkflowsRefusedOnEveryBackend runs MTC workloads that
+// pass the per-job checks but that no trigger monitor can run: a task
+// depending on a task of another workflow, submitted before, while and
+// after that task runs, and a two-task dependency cycle. Every
+// registered backend must refuse each with the same error, naming the
+// workload and the workflow, and none may panic.
+func TestMalformedWorkflowsRefusedOnEveryBackend(t *testing.T) {
+	task := func(id int, at int64, wf string, deps ...int) job.Job {
+		return job.Job{ID: id, Submit: at, Runtime: 600, Nodes: 1, Class: job.MTC, Workflow: wf, Deps: deps}
+	}
+	type tc struct {
+		name string
+		jobs []job.Job
+		want string
+	}
+	var cases []tc
+	for _, at := range []int64{0, 100, 5000} {
+		cases = append(cases, tc{
+			name: fmt.Sprintf("cross-workflow dependency at %d s", at),
+			jobs: []job.Job{task(1, 0, "a"), task(2, at, "b", 1)},
+			want: `systems: workload m: workflow "b": task 2 depends on 1, absent from the workflow`,
+		})
+	}
+	cases = append(cases, tc{
+		name: "two-task cycle",
+		jobs: []job.Job{task(1, 0, "w", 2), task(2, 0, "w", 1)},
+		want: `systems: workload m: workflow "w": a dependency cycle blocks 2 of its 2 tasks`,
+	})
+	for _, c := range cases {
+		wl := systems.Workload{Name: "m", Class: job.MTC, Jobs: c.jobs, FixedNodes: 2, Params: policy.MTCDefaults(1, 2)}
+		for _, b := range registry.Default.Backends() {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s on %s panicked: %v", c.name, b.Name, p)
+					}
+				}()
+				_, err := systems.Run(context.Background(), b, []systems.Workload{wl}, systems.Options{Horizon: 24 * 3600})
+				if err == nil || err.Error() != c.want {
+					t.Errorf("%s on %s: err = %v, want %q", c.name, b.Name, err, c.want)
+				}
+			}()
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
 // DRP is the direct resource provision model (Deelman et al.): every
@@ -171,34 +172,17 @@ type drpMTC struct {
 	runs   []*drpWorkflowRun
 }
 
-// submit starts one arriving workflow: dependency tracking is wired and
-// every root task starts at once.
+// submit starts one arriving workflow: every root task starts at once.
 func (p *drpMTC) submit(tasks []*job.Job) error {
 	r := &drpWorkflowRun{
 		engine:    p.engine,
 		prov:      p.prov,
 		owner:     p.owner,
 		remaining: len(tasks),
-		unmet:     make(map[int]int),
-		deps:      make(map[int][]*job.Job),
 		first:     p.engine.Now(),
 	}
 	p.runs = append(p.runs, r)
-	for _, t := range tasks {
-		if len(t.Deps) == 0 {
-			continue
-		}
-		r.unmet[t.ID] = len(t.Deps)
-		for _, d := range t.Deps {
-			r.deps[d] = append(r.deps[d], t)
-		}
-	}
-	for _, t := range tasks {
-		if len(t.Deps) == 0 {
-			r.start(t)
-		}
-	}
-	return nil
+	return r.tracker.Add(tasks, r.start)
 }
 
 // agg reports the provider aggregate over the workflows delivered so
@@ -239,8 +223,7 @@ type drpWorkflowRun struct {
 	idle      int
 	leases    []metrics.Lease
 	remaining int
-	unmet     map[int]int
-	deps      map[int][]*job.Job
+	tracker   workflow.Tracker
 	completed int
 	first     sim.Time
 	last      sim.Time
@@ -308,14 +291,7 @@ func (r *drpWorkflowRun) complete(t *job.Job) {
 	r.completed++
 	r.remaining--
 	r.last = r.engine.Now()
-	for _, dep := range r.deps[t.ID] {
-		r.unmet[dep.ID]--
-		if r.unmet[dep.ID] == 0 {
-			delete(r.unmet, dep.ID)
-			r.start(dep)
-		}
-	}
-	delete(r.deps, t.ID)
+	r.tracker.Done(t, r.start)
 	if r.remaining == 0 {
 		for _, l := range r.leases {
 			if err := r.prov.ReleaseLease(r.owner, l); err != nil {

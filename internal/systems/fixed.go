@@ -72,8 +72,12 @@ func OpenFixed(system string, owned bool, capacity int, opts Options) (*FixedIns
 // environment starts at the first submission, and each job (HTC) or
 // whole workflow (MTC) goes to its server on arrival. An MTC runtime
 // environment tears down once every task of the workload completed. The
-// workload's first submission must not be in the instance's past.
+// workload's first submission must not be in the instance's past, and
+// its runtime environment must fit the pool.
 func (x *FixedInstance) Attach(wl *Workload) error {
+	if _, capacity := x.PoolLoad(); wl.FixedNodes > capacity {
+		return fmt.Errorf("systems: workload %s: runtime environment of %d nodes exceeds the pool's %d", wl.Name, wl.FixedNodes, capacity)
+	}
 	if err := x.Claim(wl.Name); err != nil {
 		return err
 	}

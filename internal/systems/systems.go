@@ -26,6 +26,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
 // Workload is one service provider's workload plus its per-system
@@ -88,6 +89,34 @@ func (w *Workload) Validate() error {
 	}
 	if m := job.MaxNodes(w.Jobs); w.Class == job.HTC && m > w.FixedNodes {
 		return fmt.Errorf("systems: workload %s: max job %d exceeds fixed RE size %d", w.Name, m, w.FixedNodes)
+	}
+	if w.Class == job.MTC {
+		if err := checkWorkflows(w.Jobs); err != nil {
+			return fmt.Errorf("systems: workload %s: %w", w.Name, err)
+		}
+	}
+	return nil
+}
+
+// checkWorkflows checks every workflow of an MTC workload with the
+// trigger monitor itself, so no system meets a workflow its runner would
+// refuse or stall on: Add refuses repeated task IDs and dependencies
+// outside the workflow, and draining the workflow from its roots
+// releases every task exactly when its dependencies are acyclic.
+func checkWorkflows(jobs []job.Job) error {
+	for _, g := range WorkflowGroups(jobs) {
+		var tr workflow.Tracker
+		ready := make([]*job.Job, 0, len(g.Tasks))
+		push := func(j *job.Job) { ready = append(ready, j) }
+		if err := tr.Add(g.Tasks, push); err != nil {
+			return fmt.Errorf("workflow %q: %w", g.Key, err)
+		}
+		for k := 0; k < len(ready); k++ {
+			tr.Done(ready[k], push)
+		}
+		if n := tr.Waiting(); n > 0 {
+			return fmt.Errorf("workflow %q: a dependency cycle blocks %d of its %d tasks", g.Key, n, len(g.Tasks))
+		}
 	}
 	return nil
 }

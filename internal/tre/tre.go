@@ -10,6 +10,11 @@
 // destroy itself once its workload's tasks finish (the service provider
 // ends the computing service; see MTCServer.DestroyAfter). Web portals are
 // the emulation's job source and are not modelled.
+//
+// The trigger monitor is a workflow.Tracker, as in DRP and ssp-spot.
+// systems.Workload.Validate checks every workflow with one (unique task
+// IDs, dependencies inside the workflow, no cycle) before any system runs
+// it, so SubmitWorkflow refuses only workflows that bypass that check.
 package tre
 
 import (
@@ -177,15 +182,15 @@ func (s *Server) Submit(j *job.Job) {
 	if s.destroyed {
 		return
 	}
-	s.noteSubmit()
+	s.noteSubmit(1)
 	s.queue.Push(j)
 	if s.started {
 		s.dispatch()
 	}
 }
 
-func (s *Server) noteSubmit() {
-	s.submitted++
+func (s *Server) noteSubmit(n int) {
+	s.submitted += n
 	if s.firstSubmit < 0 {
 		s.firstSubmit = s.engine.Now()
 	}

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	dawningbench [-experiment all|table1|fig9|fig10|fig11|table2|table3|table4|fig12|fig13|fig14|tco
-//	              |ext-scale|ext-backfill|ext-provision|extensions|kernel|partition]
-//	             [-seed N] [-days N] [-out DIR] [-workers N] [-json FILE]
+//	              |ext-scale|ext-backfill|ext-provision|extensions]
+//	             [-seed N] [-days N] [-out DIR] [-workers N]
 //
 // Each artifact formats the report of one scenario study (the paper
 // spec's four system runs, a provider's B×R grid, or the scale sweep);
@@ -17,20 +17,9 @@
 // scenario cell, to stderr; an interrupt (Ctrl-C) cancels in-flight
 // simulations.
 //
-// The kernel experiment is not a paper artifact: it drives one million
-// events through the fast indexed kernel and the refheap reference kernel
-// on the identical seeded workload and prints ns/event, allocs/event and
-// events/sec for both. With -json FILE the same numbers are written as
-// machine-readable JSON (conventionally BENCH_kernel.json, the format CI
-// tracks):
-//
-//	dawningbench -experiment kernel -json BENCH_kernel.json
-//
-// The partition experiment measures the multi-core lockstep driver: the
-// same workload on one engine vs one kernel partition per CPU (capped at
-// 8), reported as BENCH_partition.json:
-//
-//	dawningbench -experiment partition -json BENCH_partition.json
+// The kernel and partition throughput measurements are Go benchmarks in
+// internal/kernelbench (BenchmarkKernel writes BENCH_kernel.json,
+// BenchmarkPartition BENCH_partition.json).
 package main
 
 import (
@@ -45,74 +34,21 @@ import (
 	dawningcloud "repro"
 	"repro/internal/events"
 	"repro/internal/experiments"
-	"repro/internal/kernelbench"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "artifact to regenerate (all, table1, fig9..fig14, table2..table4, tco, ext-scale, ext-backfill, ext-provision, extensions, kernel, partition)")
+		experiment = flag.String("experiment", "all", "artifact to regenerate (all, table1, fig9..fig14, table2..table4, tco, ext-scale, ext-backfill, ext-provision, extensions)")
 		seed       = flag.Int64("seed", 42, "workload generation seed")
 		days       = flag.Int("days", 14, "trace window in days (the paper uses 14)")
 		outDir     = flag.String("out", "", "directory for .txt/.svg artifacts (optional)")
 		workers    = flag.Int("workers", 0, "max concurrent simulation cells per study (0 = all CPUs, 1 = serial)")
 		progress   = flag.Bool("progress", false, "stream run/cell/table progress events to stderr")
-		jsonOut    = flag.String("json", "", "write the kernel experiment's report as JSON to this file (e.g. BENCH_kernel.json)")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *experiment == "kernel" || *experiment == "partition" {
-		// The microbenchmarks have fixed seeded workloads; reject
-		// explicitly-set flags they would otherwise silently ignore.
-		var inapplicable []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed", "days", "out", "workers", "progress":
-				inapplicable = append(inapplicable, "-"+f.Name)
-			}
-		})
-		if len(inapplicable) > 0 {
-			fmt.Fprintf(os.Stderr, "dawningbench: %s do(es) not apply to -experiment %s\n",
-				strings.Join(inapplicable, ", "), *experiment)
-			os.Exit(2)
-		}
-		var (
-			text string
-			save func(path string) error
-		)
-		if *experiment == "kernel" {
-			report, err := kernelbench.RunContext(ctx, kernelbench.DefaultEvents)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dawningbench: kernel benchmark aborted: %v\n", err)
-				os.Exit(1)
-			}
-			text = "== Kernel throughput: fast vs reference ==\n" + report.Text()
-			save = report.WriteJSON
-		} else {
-			report, err := kernelbench.RunPartition(ctx, kernelbench.DefaultEvents, 0)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dawningbench: partition benchmark aborted: %v\n", err)
-				os.Exit(1)
-			}
-			text = "== Partitioned kernel throughput: 1 core vs all cores ==\n" + report.Text()
-			save = report.WriteJSON
-		}
-		fmt.Println(text)
-		if *jsonOut != "" {
-			if err := save(*jsonOut); err != nil {
-				fmt.Fprintf(os.Stderr, "dawningbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s report written to %s\n", *experiment, *jsonOut)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		fmt.Fprintf(os.Stderr, "dawningbench: -json applies only to -experiment kernel or partition\n")
-		os.Exit(2)
-	}
 
 	// SubmitRequest treats Seed/Days zero as "unset" (the paper
 	// defaults); an explicit zero would be silently remapped, so reject

@@ -340,7 +340,11 @@ func TestSubmitScenarioMatchesRunScenario(t *testing.T) {
 // TestSubmitExperimentsTablesGoldenBytes proves the acceptance
 // criterion that Tables 2-4 are byte-identical through the new Submit
 // path: a suite request submitted asynchronously must reproduce the
-// reference-kernel goldens exactly.
+// Table 2-4 goldens exactly. Those were captured under the original
+// container/heap kernel; table2.golden and table3.golden were re-pinned
+// once, when runtime environments began closing each grant by its own
+// lease handle (paper Section 3.2.2; see
+// internal/experiments.TestPaperTablesGoldenBytes).
 func TestSubmitExperimentsTablesGoldenBytes(t *testing.T) {
 	eng := newTestEngine(t, ServiceConfig{Workers: 2})
 	h, err := eng.Submit(context.Background(),

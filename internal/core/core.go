@@ -73,7 +73,7 @@ func Open(capacity int, cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	framework := csf.NewFramework(p.Engine(), p.Provision())
+	framework := csf.NewFramework(p.Engine())
 	framework.DeployDelay = cfg.DeployDelay
 	framework.StartDelay = cfg.StartDelay
 	return &Instance{Platform: p, cfg: cfg, framework: framework}, nil
@@ -117,7 +117,7 @@ func (x *Instance) Attach(wl *systems.Workload) error {
 // Finalize settles open leases at horizon and assembles the Result over
 // every attached workload, in attach order.
 func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
-	return x.Settle("DawningCloud", horizon, true, x.servers.Aggs(horizon, false)), nil
+	return x.Settle("DawningCloud", horizon, true, x.servers.Aggs(horizon, false))
 }
 
 // Window snapshots every attached provider at virtual time t, for
@@ -128,16 +128,11 @@ func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
 
 // createTRE returns the start hook that walks a thin runtime
 // environment through the CSF create-and-start lifecycle, starting its
-// server once the TRE is running.
+// server once the TRE is running. A failed creation or start fails the
+// run at Finalize (see systems.Platform.Starter).
 func (x *Instance) createTRE(name, kind string, start func() error) func() {
-	return func() {
-		_, err := x.framework.CreateTRE(name, kind, func() {
-			if err := start(); err != nil {
-				panic(fmt.Sprintf("core: start TRE %s: %v", name, err))
-			}
-		})
-		if err != nil {
-			panic(fmt.Sprintf("core: create TRE %s: %v", name, err))
-		}
-	}
+	return x.Starter(func() error {
+		_, err := x.framework.CreateTRE(name, kind, x.Starter(start))
+		return err
+	})
 }

@@ -1,7 +1,6 @@
 package csf
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/metrics"
@@ -10,7 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-func newService(t *testing.T, capacity int) (*ProvisionService, *sim.Engine) {
+// fixture is a grant-or-reject provision service with the pool and
+// accountant behind it.
+type fixture struct {
+	*ProvisionService
+	engine *sim.Engine
+	pool   *nodepool.Pool
+	acct   *metrics.Accountant
+}
+
+func newService(t *testing.T, capacity int) fixture {
 	t.Helper()
 	engine := sim.New()
 	pool, err := nodepool.NewPool(capacity)
@@ -18,7 +26,7 @@ func newService(t *testing.T, capacity int) (*ProvisionService, *sim.Engine) {
 		t.Fatal(err)
 	}
 	acct := metrics.NewAccountant(engine.Now)
-	return NewProvisionService(pool, acct, policy.GrantOrReject, DefaultNodeSetupSeconds), engine
+	return fixture{NewProvisionService(pool, acct, policy.GrantOrReject), engine, pool, acct}
 }
 
 func TestStateString(t *testing.T) {
@@ -79,38 +87,43 @@ func TestLifecycleRejectsInvalidTransitions(t *testing.T) {
 }
 
 func TestRequestInitialAllocatesAndAccounts(t *testing.T) {
-	s, _ := newService(t, 100)
-	if err := s.RequestInitial("tre-a", 40); err != nil {
+	s := newService(t, 100)
+	if _, err := s.RequestInitial("tre-a", 40); err != nil {
 		t.Fatalf("RequestInitial: %v", err)
 	}
-	if s.Pool().Held("tre-a") != 40 {
-		t.Errorf("held = %d, want 40", s.Pool().Held("tre-a"))
+	if s.pool.Held("tre-a") != 40 {
+		t.Errorf("held = %d, want 40", s.pool.Held("tre-a"))
 	}
-	if s.Accountant().Held("tre-a") != 40 {
-		t.Errorf("accounted held = %d, want 40", s.Accountant().Held("tre-a"))
+	if s.acct.Held("tre-a") != 40 {
+		t.Errorf("accounted held = %d, want 40", s.acct.Held("tre-a"))
 	}
 }
 
 func TestRequestInitialFailsBeyondCapacity(t *testing.T) {
-	s, _ := newService(t, 10)
-	if err := s.RequestInitial("tre-a", 11); err == nil {
+	s := newService(t, 10)
+	if _, err := s.RequestInitial("tre-a", 11); err == nil {
 		t.Error("oversized initial request succeeded")
+	}
+	if s.acct.Held("tre-a") != 0 {
+		t.Errorf("refused initial request accounted %d nodes", s.acct.Held("tre-a"))
 	}
 }
 
+// TestRequestDynamicGrantOrReject pins a runtime environment's dynamic
+// requests, which RequestLease resolves.
 func TestRequestDynamicGrantOrReject(t *testing.T) {
-	s, _ := newService(t, 100)
-	if got := s.RequestDynamic("tre-a", 60); got != 60 {
+	s := newService(t, 100)
+	if _, got := s.RequestLease("tre-a", 60); got != 60 {
 		t.Errorf("granted = %d, want 60", got)
 	}
 	// Only 40 free now; grant-or-reject refuses 50.
-	if got := s.RequestDynamic("tre-b", 50); got != 0 {
-		t.Errorf("granted = %d, want 0 (rejected)", got)
+	if l, got := s.RequestLease("tre-b", 50); got != 0 || l != (metrics.Lease{}) {
+		t.Errorf("granted = %d, %v; want 0 and no lease (rejected)", got, l)
 	}
 	if s.RejectedRequests() != 1 {
 		t.Errorf("rejected = %d, want 1", s.RejectedRequests())
 	}
-	if got := s.RequestDynamic("tre-b", 40); got != 40 {
+	if _, got := s.RequestLease("tre-b", 40); got != 40 {
 		t.Errorf("granted = %d, want 40", got)
 	}
 }
@@ -119,51 +132,46 @@ func TestRequestDynamicBestEffort(t *testing.T) {
 	engine := sim.New()
 	pool, _ := nodepool.NewPool(50)
 	acct := metrics.NewAccountant(engine.Now)
-	s := NewProvisionService(pool, acct, policy.BestEffort, DefaultNodeSetupSeconds)
-	if got := s.RequestDynamic("a", 80); got != 50 {
+	s := NewProvisionService(pool, acct, policy.BestEffort)
+	if _, got := s.RequestLease("a", 80); got != 50 {
 		t.Errorf("best-effort granted = %d, want 50", got)
 	}
 }
 
+// TestReleaseReturnsNodes closes leases out of acquire order: each
+// returns its own nodes to the pool and bills its own span.
 func TestReleaseReturnsNodes(t *testing.T) {
-	s, engine := newService(t, 100)
-	_ = s.RequestInitial("a", 30)
-	engine.Advance(3600)
-	if err := s.Release("a", 10); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	if s.Pool().Free() != 80 {
-		t.Errorf("free = %d, want 80", s.Pool().Free())
-	}
-	if err := s.Release("a", 100); err == nil {
-		t.Error("over-release succeeded")
-	}
-}
-
-func TestManagementOverhead(t *testing.T) {
-	s, engine := newService(t, 1000)
-	_ = s.RequestInitial("a", 100)
-	engine.Advance(3600)
-	if err := s.Release("a", 100); err != nil {
+	s := newService(t, 100)
+	initial, err := s.RequestInitial("a", 30)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// 200 adjusted nodes at 15.743 s each over 2 hours.
-	total, perHour := s.ManagementOverhead(2 * 3600)
-	wantTotal := 200 * DefaultNodeSetupSeconds
-	if math.Abs(total-wantTotal) > 1e-9 {
-		t.Errorf("total overhead = %g, want %g", total, wantTotal)
+	s.engine.Advance(1800)
+	grant, _ := s.RequestLease("a", 10)
+	s.engine.Advance(3600)
+	if err := s.ReleaseLease("a", initial); err != nil {
+		t.Fatalf("ReleaseLease: %v", err)
 	}
-	if math.Abs(perHour-wantTotal/2) > 1e-9 {
-		t.Errorf("per-hour overhead = %g, want %g", perHour, wantTotal/2)
+	if s.pool.Free() != 90 {
+		t.Errorf("free = %d, want 90", s.pool.Free())
 	}
-	if _, ph := s.ManagementOverhead(0); ph != 0 {
-		t.Errorf("per-hour with zero horizon = %g, want 0", ph)
+	if err := s.ReleaseLease("a", initial); err == nil {
+		t.Error("second release of one lease succeeded")
+	}
+	s.engine.Advance(1800)
+	if err := s.ReleaseLease("a", grant); err != nil {
+		t.Fatalf("ReleaseLease: %v", err)
+	}
+	// initial: 30 nodes over [0, 5400), 2 h; grant: 10 nodes over
+	// [1800, 7200), 2 h.
+	if got := s.acct.BilledNodeHours("a"); got != 60+20 {
+		t.Errorf("BilledNodeHours = %g, want 80", got)
 	}
 }
 
 func TestFrameworkCreateTRELifecycle(t *testing.T) {
-	s, engine := newService(t, 100)
-	f := NewFramework(engine, s)
+	engine := sim.New()
+	f := NewFramework(engine)
 	f.DeployDelay = 30
 	f.StartDelay = 10
 	started := false
@@ -186,54 +194,14 @@ func TestFrameworkCreateTRELifecycle(t *testing.T) {
 	if tre.Lifecycle.State() != Running || !started {
 		t.Errorf("state = %v, started = %v; want running,true", tre.Lifecycle.State(), started)
 	}
-	if f.TRECount() != 1 {
-		t.Errorf("TRECount = %d, want 1", f.TRECount())
-	}
 }
 
 func TestFrameworkRejectsDuplicateNames(t *testing.T) {
-	s, engine := newService(t, 100)
-	f := NewFramework(engine, s)
+	f := NewFramework(sim.New())
 	if _, err := f.CreateTRE("x", "HTC", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.CreateTRE("x", "MTC", nil); err == nil {
 		t.Error("duplicate TRE name accepted")
-	}
-}
-
-func TestFrameworkDestroyReleasesNodes(t *testing.T) {
-	s, engine := newService(t, 100)
-	f := NewFramework(engine, s)
-	_, err := f.CreateTRE("x", "HTC", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.RunAll() // reach Running
-	if err := s.RequestInitial("x", 25); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.DestroyTRE("x"); err != nil {
-		t.Fatalf("DestroyTRE: %v", err)
-	}
-	if s.Pool().Free() != 100 {
-		t.Errorf("free after destroy = %d, want 100", s.Pool().Free())
-	}
-	tre, ok := f.Get("x")
-	if !ok || tre.Lifecycle.State() != Destroyed {
-		t.Error("TRE not destroyed")
-	}
-}
-
-func TestFrameworkDestroyErrors(t *testing.T) {
-	s, engine := newService(t, 100)
-	f := NewFramework(engine, s)
-	if err := f.DestroyTRE("ghost"); err == nil {
-		t.Error("destroying unknown TRE succeeded")
-	}
-	_, _ = f.CreateTRE("y", "HTC", nil)
-	// Still Planning: cannot destroy before Running.
-	if err := f.DestroyTRE("y"); err == nil {
-		t.Error("destroying non-running TRE succeeded")
 	}
 }

@@ -7,7 +7,9 @@
 // clock for deterministic experiments — this emulator runs the job emitter,
 // the HTC server loop and the completion timers as concurrent goroutines
 // communicating over channels, with the resource provision service backed
-// by the same cluster pool and accountant used everywhere else. A
+// by the same cluster pool and accountant used everywhere else. As in the
+// simulated runtime environment (internal/tre), every grant is a lease
+// handle, and the hourly idle check closes the grant it releases. A
 // cross-validation test checks that both engines agree on the outcome of
 // identical workloads, which is the evidence that the fast simulator stands
 // in faithfully for the paper's emulation experiments.
@@ -100,7 +102,7 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, err
 	}
 	acct := metrics.NewAccountant(clock.Now)
-	prov := csf.NewProvisionService(pool, acct, policy.GrantOrReject, csf.DefaultNodeSetupSeconds)
+	prov := csf.NewProvisionService(pool, acct, policy.GrantOrReject)
 
 	jobs := make([]job.Job, len(cfg.Jobs))
 	copy(jobs, cfg.Jobs)
@@ -108,7 +110,7 @@ func Run(cfg Config) (Report, error) {
 	start := jobs[0].Submit
 
 	const owner = "emulated-htc"
-	if err := prov.RequestInitial(owner, cfg.Params.InitialNodes); err != nil {
+	if _, err := prov.RequestInitial(owner, cfg.Params.InitialNodes); err != nil {
 		return Report{}, err
 	}
 
@@ -142,7 +144,11 @@ func Run(cfg Config) (Report, error) {
 	completed := 0
 	submitted := 0
 	peak := 0
-	var grants []int // outstanding dynamic block sizes
+	type grant struct {
+		lease metrics.Lease
+		size  int
+	}
+	var grants []grant // outstanding dynamic grants
 	scheduler := sched.FirstFit{}
 
 	dispatch := func() {
@@ -173,9 +179,9 @@ func Run(cfg Config) (Report, error) {
 		if kind == policy.NoRequest {
 			return
 		}
-		if granted := prov.RequestDynamic(owner, size); granted > 0 {
+		if lease, granted := prov.RequestLease(owner, size); granted > 0 {
 			owned += granted
-			grants = append(grants, granted)
+			grants = append(grants, grant{lease, granted})
 			dispatch()
 		}
 	}
@@ -183,12 +189,12 @@ func Run(cfg Config) (Report, error) {
 		idle := owned - busy
 		kept := grants[:0]
 		for _, g := range grants {
-			if policy.ReleaseDecision(idle, g) {
-				if err := prov.Release(owner, g); err != nil {
+			if policy.ReleaseDecision(idle, g.size) {
+				if err := prov.ReleaseLease(owner, g.lease); err != nil {
 					return err
 				}
-				owned -= g
-				idle -= g
+				owned -= g.size
+				idle -= g.size
 				continue
 			}
 			kept = append(kept, g)

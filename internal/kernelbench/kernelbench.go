@@ -5,10 +5,12 @@
 // events/sec for both, plus the speedup — is reported as a struct and as
 // machine-readable JSON (BENCH_kernel.json).
 //
-// Two callers share it: BenchmarkKernel (this package's bench, which CI
-// runs with -benchtime 1x, uploading the JSON artifact and failing the
-// build when allocs/event exceeds testdata/bench_budget.json) and
-// `dawningbench -experiment kernel -json BENCH_kernel.json`.
+// Its callers are this package's benchmarks, which CI runs with
+// -benchtime 1x: BenchmarkKernel uploads BENCH_kernel.json and fails the
+// build when allocs/event exceeds testdata/bench_budget.json, and
+// BenchmarkPartition does the same for the multi-core lockstep driver
+// (BENCH_partition.json). No product binary links this package, and so
+// none links the reference kernel.
 //
 // The driver is deliberately allocation-free on its own side — actors
 // carry pre-bound callbacks — so allocs/event isolates what the kernel
@@ -16,7 +18,6 @@
 package kernelbench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -240,35 +241,19 @@ func measure(name string, events int64, api engineAPI) Kernel {
 // churn through both kernels. events is the target executed-event count
 // per kernel (DefaultEvents when <= 0).
 func Run(events int64) Report {
-	r, _ := RunContext(context.Background(), events) //dclint:allow ctxfirst -- documented non-ctx convenience wrapper over RunContext
-	return r
-}
-
-// RunContext is Run with cooperative cancellation between measurement
-// phases: a cancelled context aborts before the next (multi-hundred-ms)
-// kernel drive and returns ctx.Err() with a zero report.
-func RunContext(ctx context.Context, events int64) (Report, error) {
 	if events <= 0 {
 		events = DefaultEvents
 	}
 	r := Report{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	// Warm both paths once at small scale so one-time runtime costs
 	// (pool fills, lazy init) stay off the measurement.
-	phases := []func(){
-		func() { drive(fastAPI(), 10_000) },
-		func() { drive(refAPI(), 10_000) },
-		func() { r.Fast = measure("sim (indexed 4-ary)", events, fastAPI()) },
-		func() { r.Ref = measure("refheap (container/heap)", events, refAPI()) },
-	}
-	for _, phase := range phases {
-		if err := ctx.Err(); err != nil {
-			return Report{}, err
-		}
-		phase()
-	}
+	drive(fastAPI(), 10_000)
+	drive(refAPI(), 10_000)
+	r.Fast = measure("sim (indexed 4-ary)", events, fastAPI())
+	r.Ref = measure("refheap (container/heap)", events, refAPI())
 	if r.Ref.EventsPerSec > 0 {
 		r.Speedup = r.Fast.EventsPerSec / r.Ref.EventsPerSec
 	}
 	r.AllocsSavedPerEvent = r.Ref.AllocsPerEvent - r.Fast.AllocsPerEvent
-	return r, nil
+	return r
 }

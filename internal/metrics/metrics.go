@@ -4,23 +4,21 @@
 // node-adjustment counts behind the management-overhead analysis.
 //
 // The central type is Accountant. It keeps one account per owner, and an
-// account holds leases of two kinds:
-//
-//   - Blocks taken with Acquire and returned with Release, most recent
-//     first. Runtime environments negotiate these: a release of n nodes
-//     closes the newest blocks, splitting one if it must, so a runtime
-//     environment keeps its initial resources while it sheds dynamic ones.
-//   - Lease handles taken with AcquireLease and closed with CloseLease. A
-//     handle closes exactly the block it names, however many others its
-//     owner holds. The direct resource provision model leases one handle
-//     per end-user job under its provider's account, so an end user costs
-//     a lease segment, not an account of its own.
+// account holds leases of one kind: every grant of nodes is a lease taken
+// with AcquireLease, and the handle it returns is the only way to close
+// it. CloseLease closes exactly the block its handle names, however many
+// others its owner holds, so a bill pairs every grant's start with that
+// same grant's end. A runtime environment holds its initial lease and
+// each dynamic grant by handle, and its hourly idle check closes the grant
+// it watches (paper Section 3.2.2); the direct resource provision model
+// leases one handle per end-user job under its provider's account, so an
+// end user costs a lease segment, not an account of its own.
 //
 // At the end of a run CloseAll settles every open lease and the experiment
 // harness reads the aggregates.
 //
 // The peak held nodes of each owner and of the whole platform are running
-// maxima, kept up to date on every acquire and release, so reading them is
+// maxima, kept up to date on every acquire and close, so reading them is
 // O(1). A peak is the maximum of the held-node step function, which at each
 // instant counts the level after all of that instant's changes: a lease
 // taken and returned at one instant never counts, and a swap at one instant
@@ -50,11 +48,9 @@ type leaseSeg struct {
 
 // ownerAccount accumulates one consumer's lease history.
 type ownerAccount struct {
-	open          []leaseSeg // end undefined while open; LIFO close order
 	leases        []leaseSeg // by Lease index; end undefined, count 0 once closed
 	closed        []leaseSeg
-	held          int   // in open blocks and open leases
-	leased        int   // in open leases
+	held          int   // in open leases
 	peak          int   // max held after each instant before at
 	at            int64 // instant of the last change
 	nodesAdjusted int   // sum of node counts over acquire+release operations
@@ -118,26 +114,15 @@ func (a *Accountant) change(oa *ownerAccount, n int) int64 {
 	return now
 }
 
-// Acquire records owner obtaining n nodes now. Adjustment counters grow by
-// n: the paper counts every node assignment as setup work.
-func (a *Accountant) Acquire(owner string, n int) {
-	if n <= 0 {
-		panic(fmt.Sprintf("metrics: acquire %d nodes", n))
-	}
-	oa := a.owner(owner)
-	oa.open = append(oa.open, leaseSeg{start: a.change(oa, n), count: n})
-}
-
 // AcquireLease records owner obtaining n nodes now as a lease of their
-// own, and returns its handle. Adjustment counters grow by n, as for
-// Acquire.
+// own, and returns its handle. Adjustment counters grow by n: the paper
+// counts every node assignment as setup work.
 func (a *Accountant) AcquireLease(owner string, n int) Lease {
 	if n <= 0 {
 		panic(fmt.Sprintf("metrics: acquire %d nodes", n))
 	}
 	oa := a.owner(owner)
 	oa.leases = append(oa.leases, leaseSeg{start: a.change(oa, n), count: n})
-	oa.leased += n
 	return Lease{oa: oa, i: len(oa.leases) - 1}
 }
 
@@ -151,72 +136,31 @@ func (a *Accountant) CloseLease(l Lease) (int, error) {
 	seg := &oa.leases[l.i]
 	n := seg.count
 	oa.closed = append(oa.closed, leaseSeg{start: seg.start, end: a.change(oa, -n), count: n})
-	oa.leased -= n
 	seg.count = 0
 	return n, nil
 }
 
-// Release records owner returning n nodes now. Open blocks close most
-// recent first, matching the policy's behaviour of releasing dynamically
-// acquired blocks while keeping initial resources. Leases taken with
-// AcquireLease are not released here; CloseLease ends them.
-func (a *Accountant) Release(owner string, n int) error {
-	if n <= 0 {
-		return fmt.Errorf("metrics: release %d nodes", n)
-	}
-	oa := a.owners[owner]
-	blocks := 0
-	if oa != nil {
-		blocks = oa.held - oa.leased
-	}
-	if n > blocks {
-		return fmt.Errorf("metrics: %s releasing %d nodes but holds %d", owner, n, blocks)
-	}
-	now := a.change(oa, -n)
-	remaining := n
-	for remaining > 0 {
-		last := &oa.open[len(oa.open)-1]
-		take := last.count
-		if take > remaining {
-			take = remaining
-		}
-		oa.closed = append(oa.closed, leaseSeg{start: last.start, end: now, count: take})
-		last.count -= take
-		remaining -= take
-		if last.count == 0 {
-			oa.open = oa.open[:len(oa.open)-1]
-		}
-	}
-	return nil
-}
-
-// CloseAll settles every open block and lease at time end, which must be
-// at or after the clock. Call once when a simulation finishes. Closing
-// counts as reclaiming for adjustment purposes only when countAdjust is
-// true (a DCS owner keeps its machines; a cloud tear-down wipes nodes).
+// CloseAll settles every open lease at time end, which must be at or
+// after the clock. Call once when a simulation finishes. Closing counts as
+// reclaiming for adjustment purposes only when countAdjust is true (a DCS
+// owner keeps its machines; a cloud tear-down wipes nodes).
 func (a *Accountant) CloseAll(end int64, countAdjust bool) {
 	for _, name := range a.order {
 		oa := a.owners[name]
 		a.moveTo(oa, end)
-		oa.settle(oa.open, end, countAdjust)
-		oa.settle(oa.leases, end, countAdjust)
-		oa.open, oa.leases = nil, nil
-		oa.held, oa.leased = 0, 0
+		for _, seg := range oa.leases {
+			if seg.count == 0 {
+				continue
+			}
+			oa.closed = append(oa.closed, leaseSeg{start: seg.start, end: end, count: seg.count})
+			if countAdjust {
+				oa.nodesAdjusted += seg.count
+			}
+		}
+		oa.leases = nil
+		oa.held = 0
 	}
 	a.held = 0
-}
-
-// settle closes the still-open segments of segs at end for CloseAll.
-func (oa *ownerAccount) settle(segs []leaseSeg, end int64, countAdjust bool) {
-	for _, seg := range segs {
-		if seg.count == 0 {
-			continue
-		}
-		oa.closed = append(oa.closed, leaseSeg{start: seg.start, end: end, count: seg.count})
-		if countAdjust {
-			oa.nodesAdjusted += seg.count
-		}
-	}
 }
 
 // Held reports the nodes owner currently holds.
@@ -268,18 +212,16 @@ func (a *Accountant) BilledNodeHoursThrough(owner string, t int64) float64 {
 	for _, seg := range oa.closed {
 		total += billed(seg)
 	}
-	for _, open := range [2][]leaseSeg{oa.open, oa.leases} {
-		for _, seg := range open {
-			if seg.count > 0 {
-				total += billed(leaseSeg{start: seg.start, end: t, count: seg.count})
-			}
+	for _, seg := range oa.leases {
+		if seg.count > 0 {
+			total += billed(leaseSeg{start: seg.start, end: t, count: seg.count})
 		}
 	}
 	return float64(total) / float64(HourSeconds)
 }
 
 // NodesAdjusted reports the accumulated node count over owner's acquire and
-// release operations (Figure 14).
+// close operations (Figure 14).
 func (a *Accountant) NodesAdjusted(owner string) int {
 	if oa, ok := a.owners[owner]; ok {
 		return oa.nodesAdjusted

@@ -13,14 +13,20 @@ type fakeClock struct{ t int64 }
 
 func (c *fakeClock) now() int64 { return c.t }
 
+// closeLease closes l, failing the test on an error.
+func closeLease(t *testing.T, a *Accountant, l Lease) {
+	t.Helper()
+	if _, err := a.CloseLease(l); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBilledRoundsUpToWholeHours(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("sp", 4)
+	l := a.AcquireLease("sp", 4)
 	c.t = 90 * 60 // 1.5 hours
-	if err := a.Release("sp", 4); err != nil {
-		t.Fatal(err)
-	}
+	closeLease(t, a, l)
 	a.CloseAll(c.t, true)
 	// 1.5h rounds to 2h * 4 nodes = 8 node-hours.
 	if got := a.BilledNodeHours("sp"); got != 8 {
@@ -34,11 +40,9 @@ func TestBilledRoundsUpToWholeHours(t *testing.T) {
 func TestExactHourNotRounded(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("sp", 2)
+	l := a.AcquireLease("sp", 2)
 	c.t = 3600
-	if err := a.Release("sp", 2); err != nil {
-		t.Fatal(err)
-	}
+	closeLease(t, a, l)
 	if got := a.BilledNodeHours("sp"); got != 2 {
 		t.Errorf("BilledNodeHours = %g, want 2 (exactly one hour)", got)
 	}
@@ -47,76 +51,33 @@ func TestExactHourNotRounded(t *testing.T) {
 func TestZeroLengthLeaseBillsOneHour(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("sp", 3)
-	if err := a.Release("sp", 3); err != nil {
-		t.Fatal(err)
-	}
+	closeLease(t, a, a.AcquireLease("sp", 3))
 	if got := a.BilledNodeHours("sp"); got != 3 {
 		t.Errorf("BilledNodeHours = %g, want 3 (instant lease pays an hour)", got)
 	}
 }
 
-func TestLIFOCloseKeepsInitialLease(t *testing.T) {
-	c := &fakeClock{}
-	a := NewAccountant(c.now)
-	a.Acquire("sp", 10) // initial resources at t=0
-	c.t = 3600
-	a.Acquire("sp", 5) // dynamic block
-	c.t = 2 * 3600
-	if err := a.Release("sp", 5); err != nil {
-		t.Fatal(err)
-	}
-	c.t = 10 * 3600
-	a.CloseAll(c.t, false)
-	// Initial 10 nodes for 10h = 100; dynamic 5 nodes for 1h = 5.
-	if got := a.BilledNodeHours("sp"); got != 105 {
-		t.Errorf("BilledNodeHours = %g, want 105", got)
-	}
-}
-
-func TestReleaseSpanningMultipleSegments(t *testing.T) {
-	c := &fakeClock{}
-	a := NewAccountant(c.now)
-	a.Acquire("sp", 3)
-	c.t = 3600
-	a.Acquire("sp", 2)
-	c.t = 7200
-	// Release 4: closes the 2-node segment and 2 of the 3-node segment.
-	if err := a.Release("sp", 4); err != nil {
-		t.Fatal(err)
-	}
-	if a.Held("sp") != 1 {
-		t.Errorf("Held = %d, want 1", a.Held("sp"))
-	}
-	a.CloseAll(7200, false)
-	// Segments: 2 nodes [3600,7200) = 2h; 2 nodes [0,7200) = 4h;
-	// 1 node [0,7200) = 2h. Total = 2+4+2 = 8 node-hours.
-	if got := a.BilledNodeHours("sp"); got != 8 {
-		t.Errorf("BilledNodeHours = %g, want 8", got)
-	}
-}
-
 func TestReleaseErrors(t *testing.T) {
 	a := NewAccountant(func() int64 { return 0 })
-	a.Acquire("sp", 2)
-	if err := a.Release("sp", 3); err == nil {
-		t.Error("over-release succeeded")
+	l := a.AcquireLease("sp", 2)
+	closeLease(t, a, l)
+	if _, err := a.CloseLease(l); err == nil {
+		t.Error("second close of one lease succeeded")
 	}
-	if err := a.Release("sp", 0); err == nil {
-		t.Error("zero release succeeded")
+	if _, err := a.CloseLease(Lease{}); err == nil {
+		t.Error("close of the zero Lease succeeded")
 	}
-	if err := a.Release("ghost", 1); err == nil {
-		t.Error("release from unknown owner succeeded")
+	if a.Held("sp") != 0 {
+		t.Errorf("Held = %d after refused closes, want 0", a.Held("sp"))
 	}
 }
 
-// TestRefusedReleaseOpensNoAccount pins that Release validates before
-// it touches the ledger: a refused release from an unknown owner leaves
-// no empty account behind.
+// TestRefusedReleaseOpensNoAccount pins that a refused close touches no
+// ledger: closing the zero Lease leaves no account behind.
 func TestRefusedReleaseOpensNoAccount(t *testing.T) {
 	a := NewAccountant(func() int64 { return 0 })
-	if err := a.Release("ghost", 1); err == nil {
-		t.Fatal("release from unknown owner succeeded")
+	if _, err := a.CloseLease(Lease{}); err == nil {
+		t.Fatal("close of the zero Lease succeeded")
 	}
 	if owners := a.Owners(); len(owners) != 0 {
 		t.Errorf("Owners = %v after a refused release, want none", owners)
@@ -127,22 +88,20 @@ func TestAcquireNonPositivePanics(t *testing.T) {
 	a := NewAccountant(func() int64 { return 0 })
 	defer func() {
 		if recover() == nil {
-			t.Error("Acquire(0) did not panic")
+			t.Error("AcquireLease(0) did not panic")
 		}
 	}()
-	a.Acquire("sp", 0)
+	a.AcquireLease("sp", 0)
 }
 
 func TestAdjustmentCounters(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("sp", 10)
+	a.AcquireLease("sp", 10)
 	c.t = 3600
-	a.Acquire("sp", 5)
+	l := a.AcquireLease("sp", 5)
 	c.t = 7200
-	if err := a.Release("sp", 5); err != nil {
-		t.Fatal(err)
-	}
+	closeLease(t, a, l)
 	if got := a.NodesAdjusted("sp"); got != 20 {
 		t.Errorf("NodesAdjusted = %d, want 20 (10+5+5)", got)
 	}
@@ -155,7 +114,7 @@ func TestAdjustmentCounters(t *testing.T) {
 func TestCloseAllWithoutAdjustCount(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("dcs", 15)
+	a.AcquireLease("dcs", 15)
 	a.CloseAll(3600, false)
 	if got := a.NodesAdjusted("dcs"); got != 15 {
 		t.Errorf("NodesAdjusted = %d, want 15 (acquire only)", got)
@@ -168,8 +127,8 @@ func TestCloseAllWithoutAdjustCount(t *testing.T) {
 func TestTotalsAcrossOwners(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("a", 1)
-	a.Acquire("b", 2)
+	a.AcquireLease("a", 1)
+	a.AcquireLease("b", 2)
 	c.t = 3600
 	a.CloseAll(c.t, true)
 	if got := a.TotalBilledNodeHours(); got != 3 {
@@ -187,13 +146,11 @@ func TestTotalsAcrossOwners(t *testing.T) {
 func TestPeakNodes(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("a", 100)
+	l := a.AcquireLease("a", 100)
 	c.t = 1800
-	a.Acquire("b", 50)
+	a.AcquireLease("b", 50)
 	c.t = 3600
-	if err := a.Release("a", 100); err != nil {
-		t.Fatal(err)
-	}
+	closeLease(t, a, l)
 	c.t = 4 * 3600
 	a.CloseAll(c.t, false)
 	// Hour 0: a=100 + b=50 -> 150. Hours 1-3: b=50.
@@ -216,9 +173,9 @@ func TestIntervalsSortedAndComplete(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
 	c.t = 100
-	a.Acquire("b", 2)
+	a.AcquireLease("b", 2)
 	c.t = 200
-	a.Acquire("a", 1)
+	a.AcquireLease("a", 1)
 	c.t = 300
 	a.CloseAll(c.t, false)
 	ivs := a.Intervals()
@@ -255,22 +212,21 @@ func TestPropertyBillingBounds(t *testing.T) {
 	}) bool {
 		c := &fakeClock{}
 		a := NewAccountant(c.now)
-		segments := 0
-		held := 0
+		var open []Lease
 		for _, op := range ops {
 			c.t += int64(op.Dt)
 			n := int(op.N%16) + 1
 			if op.Release {
-				if held >= n {
-					if err := a.Release("o", n); err != nil {
+				if len(open) > 0 {
+					// Close a lease picked by the op, not always the newest.
+					k := n % len(open)
+					if _, err := a.CloseLease(open[k]); err != nil {
 						return false
 					}
-					held -= n
+					open = append(open[:k], open[k+1:]...)
 				}
 			} else {
-				a.Acquire("o", n)
-				held += n
-				segments++
+				open = append(open, a.AcquireLease("o", n))
 			}
 		}
 		c.t += 10
@@ -280,9 +236,8 @@ func TestPropertyBillingBounds(t *testing.T) {
 		if billed < exact {
 			return false
 		}
-		// Each acquire can split into at most N segments of 1 node, but
-		// the rounding overhead is bounded by 1 hour per held node per
-		// close; use a safe upper bound: exact + total nodes acquired.
+		// Each lease rounds up by less than one hour per node it holds,
+		// so exact + total nodes acquired bounds the bill.
 		totalNodes := 0
 		for _, op := range ops {
 			if !op.Release {
@@ -307,16 +262,20 @@ func TestPropertyHeldMatchesReference(t *testing.T) {
 		c := &fakeClock{}
 		a := NewAccountant(c.now)
 		held := 0
+		var open []Lease
 		for _, op := range ops {
 			c.t += int64(op.Dt)
 			n := int(op.N%8) + 1
-			if op.Release && held >= n {
-				if err := a.Release("o", n); err != nil {
+			if op.Release && len(open) > 0 {
+				k := n % len(open)
+				got, err := a.CloseLease(open[k])
+				if err != nil {
 					return false
 				}
-				held -= n
+				held -= got
+				open = append(open[:k], open[k+1:]...)
 			} else if !op.Release {
-				a.Acquire("o", n)
+				open = append(open, a.AcquireLease("o", n))
 				held += n
 			}
 			if a.Held("o") != held {
@@ -333,13 +292,13 @@ func TestPropertyHeldMatchesReference(t *testing.T) {
 func TestLeaseHandlesCloseTheirOwnBlock(t *testing.T) {
 	c := &fakeClock{}
 	a := NewAccountant(c.now)
-	a.Acquire("sp", 4) // a runtime-environment block under the same owner
+	initial := a.AcquireLease("sp", 4) // a runtime environment's initial lease
 	first := a.AcquireLease("sp", 2)
 	c.t = 3600
 	second := a.AcquireLease("sp", 3)
 	c.t = 2 * 3600
-	// Closing the older lease leaves the newer one and the block open,
-	// whatever the acquire order.
+	// Closing the older lease leaves the newer one and the initial lease
+	// open, whatever the acquire order.
 	if n, err := a.CloseLease(first); err != nil || n != 2 {
 		t.Fatalf("CloseLease(first) = %d, %v; want 2, nil", n, err)
 	}
@@ -352,21 +311,16 @@ func TestLeaseHandlesCloseTheirOwnBlock(t *testing.T) {
 	if a.Held("sp") != 7 {
 		t.Errorf("Held = %d, want 7", a.Held("sp"))
 	}
-	// LIFO releases reach only blocks: the 3 leased nodes stay out of it.
-	if err := a.Release("sp", 5); err == nil {
-		t.Error("Release took leased nodes")
-	}
-	if err := a.Release("sp", 4); err != nil {
-		t.Fatal(err)
-	}
+	// Closing the oldest lease leaves the younger one open.
+	closeLease(t, a, initial)
 	c.t = 3 * 3600
 	a.CloseAll(c.t, true)
 	// first: 2 nodes x 2h; second: 3 nodes x 2h (closed by CloseAll);
-	// block: 4 nodes x 2h.
+	// initial: 4 nodes x 2h.
 	if got := a.BilledNodeHours("sp"); got != 4+6+8 {
 		t.Errorf("BilledNodeHours = %g, want 18", got)
 	}
-	// Acquires 4+2+3, CloseLease 2, Release 4, CloseAll 3.
+	// Acquires 4+2+3, CloseLease 2 and 4, CloseAll 3.
 	if got := a.NodesAdjusted("sp"); got != 18 {
 		t.Errorf("NodesAdjusted = %d, want 18", got)
 	}
@@ -385,30 +339,20 @@ type refSeg struct {
 	count      int
 }
 
-// refOwner is one owner in the reference model: its LIFO blocks, its open
-// lease handles, every closed segment, and its adjustment count.
+// refOwner is one owner in the reference model: its open lease handles,
+// every closed segment, and its adjustment count.
 type refOwner struct {
-	blocks   []refSeg
 	leases   []Lease
 	starts   []refSeg // start and count of leases[i]
 	closed   []refSeg
 	adjusted int
 }
 
-func (o *refOwner) blockNodes() int {
-	n := 0
-	for _, b := range o.blocks {
-		n += b.count
-	}
-	return n
-}
-
 // Property: after CloseAll(h), the running peaks equal the maximum of
 // stats.BucketMax's hourly buckets over the closed intervals, for the
 // platform and for each owner, and billing and adjustments equal sums
-// over a reference model's segments. Scripts mix LIFO blocks, releases
-// spanning several blocks, lease handles, same-instant acquire/release
-// pairs in both orders and zero-length leases.
+// over a reference model's segments. Scripts mix lease handles closed in
+// any order, same-instant close/acquire swaps and zero-length leases.
 func TestRunningPeaksMatchBucketMax(t *testing.T) {
 	owners := []string{"a", "b", "c"}
 	for seed := int64(1); seed <= 400; seed++ {
@@ -418,28 +362,6 @@ func TestRunningPeaksMatchBucketMax(t *testing.T) {
 		ref := map[string]*refOwner{}
 		for _, o := range owners {
 			ref[o] = &refOwner{}
-		}
-		acquire := func(o string, n int) {
-			a.Acquire(o, n)
-			ref[o].blocks = append(ref[o].blocks, refSeg{start: c.t, count: n})
-			ref[o].adjusted += n
-		}
-		release := func(o string, n int) {
-			if err := a.Release(o, n); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			r := ref[o]
-			r.adjusted += n
-			for n > 0 {
-				top := &r.blocks[len(r.blocks)-1]
-				take := min(top.count, n)
-				r.closed = append(r.closed, refSeg{start: top.start, end: c.t, count: take})
-				top.count -= take
-				n -= take
-				if top.count == 0 {
-					r.blocks = r.blocks[:len(r.blocks)-1]
-				}
-			}
 		}
 		lease := func(o string, n int) {
 			r := ref[o]
@@ -471,32 +393,18 @@ func TestRunningPeaksMatchBucketMax(t *testing.T) {
 			o := owners[rng.Intn(len(owners))]
 			r := ref[o]
 			n := 1 + rng.Intn(8)
-			switch op := rng.Intn(8); {
-			case op == 0:
-				acquire(o, n)
-			case op == 1 && r.blockNodes() > 0:
-				// May span several blocks.
-				release(o, 1+rng.Intn(r.blockNodes()))
-			case op == 2:
-				lease(o, n)
-			case op == 3 && len(r.leases) > 0:
+			switch op := rng.Intn(4); {
+			case op == 0 && len(r.leases) > 0:
 				closeLease(o, rng.Intn(len(r.leases)))
-			case op == 4:
-				// Acquire then release at one instant: a zero-length
-				// block, on top of whatever the instant already holds.
-				acquire(o, n)
-				release(o, n)
-			case op == 5:
-				// A zero-length lease.
+			case op == 1:
+				// A zero-length lease, on top of whatever the instant
+				// already holds.
 				lease(o, n)
 				closeLease(o, len(r.leases)-1)
-			case op == 6 && len(r.leases) > 0:
+			case op == 2 && len(r.leases) > 0:
 				// Release then acquire at one instant: a swap.
 				closeLease(o, rng.Intn(len(r.leases)))
 				lease(o, n)
-			case op == 7 && r.blockNodes() > 0:
-				release(o, 1+rng.Intn(r.blockNodes()))
-				acquire(o, n)
 			default:
 				lease(o, n)
 			}
@@ -511,11 +419,6 @@ func TestRunningPeaksMatchBucketMax(t *testing.T) {
 		}
 		for _, o := range owners {
 			r := ref[o]
-			for _, b := range r.blocks {
-				if b.count > 0 {
-					r.closed = append(r.closed, refSeg{start: b.start, end: h, count: b.count})
-				}
-			}
 			for _, s := range r.starts {
 				r.closed = append(r.closed, refSeg{start: s.start, end: h, count: s.count})
 			}
@@ -525,7 +428,6 @@ func TestRunningPeaksMatchBucketMax(t *testing.T) {
 				billedSec += billed(leaseSeg{start: s.start, end: s.end, count: s.count})
 			}
 			if countAdjust {
-				adjusted += r.blockNodes()
 				for _, s := range r.starts {
 					adjusted += s.count
 				}

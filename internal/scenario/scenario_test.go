@@ -504,3 +504,27 @@ func TestRuntimeEnvironmentLargerThanPoolRefused(t *testing.T) {
 		}()
 	}
 }
+
+// TestRuntimeEnvironmentsThatDoNotFitTogetherFailTheRun runs two
+// runtime environments that each fit the pool but not together, with
+// cells on several workers: the second one's initial lease is refused at
+// its start, and the run must fail with an error naming it instead of
+// panicking on a worker goroutine.
+func TestRuntimeEnvironmentsThatDoNotFitTogetherFailTheRun(t *testing.T) {
+	for _, tc := range []struct{ systems, policy, want string }{
+		{`"DCS"`, ``, "requested 128 nodes, only 22 free"},
+		{`"SSP"`, ``, "requested 128 nodes, only 22 free"},
+		{`"DCS","SSP"`, ``, "requested 128 nodes, only 22 free"},
+		{`"DawningCloud"`, `,"policy":{"b":100,"r":1.5}`, "requested 100 nodes, only 50 free"},
+	} {
+		s, err := ParseBytes([]byte(`{"name":"contention","days":1,"systems":[` + tc.systems + `],"pool":{"capacity":150},
+			"providers":[{"name":"org","count":2,"fixed_nodes":128` + tc.policy + `,"source":{"kind":"synth","model":"nasa"}}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(s, 4)
+		if err == nil || !strings.Contains(err.Error(), "initial provision for org-01") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("systems %s: err = %v, want org-01's initial lease refused (%s)", tc.systems, err, tc.want)
+		}
+	}
+}

@@ -550,6 +550,32 @@ func TestScenarioCatalogAndErrors(t *testing.T) {
 	}
 }
 
+// TestRefusedInitialLeaseFailsTheRunNotTheServer posts a scenario whose
+// two runtime environments each fit the pool but not together, on four
+// systems with cells on several workers: the run fails with an error
+// naming the refused runtime environment, and the server still answers.
+func TestRefusedInitialLeaseFailsTheRunNotTheServer(t *testing.T) {
+	srv, _ := newTestServer(t, dawningcloud.ServiceConfig{Workers: 1})
+	resp, data := postJSON(t, srv.URL+"/v1/runs", `{"workers":4,"scenario_spec":{"name":"contention","days":1,
+		"systems":["DCS","DawningCloud","DRP","ssp-spot"],"pool":{"capacity":150},
+		"providers":[{"name":"org","count":2,"fixed_nodes":128,"source":{"kind":"synth","model":"nasa"}}]}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
+	}
+	var sub wireSubmit
+	if err := json.Unmarshal(data, &sub); err != nil {
+		t.Fatal(err)
+	}
+	run := pollDone(t, srv.URL, sub.ID, 30*time.Second)
+	if run.Status != "failed" || !strings.Contains(run.Error, "initial provision for org-01") {
+		t.Errorf("run = %s (%q), want failed naming org-01", run.Status, run.Error)
+	}
+	var health wireHealth
+	if resp := getJSON(t, srv.URL+"/healthz", &health); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz = %d after the failed run, want 200", resp.StatusCode)
+	}
+}
+
 // TestDaysOutOfRangeIs400: every request form that takes a day count —
 // an inline scenario spec, a NASA or BLUE system run and a suite run —
 // answers 400 for one day past synth.MaxDays, for 2^30 days and for the

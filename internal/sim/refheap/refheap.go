@@ -7,9 +7,11 @@
 // the fast kernel must replay any seeded schedule (including random
 // Cancel/Every/Stop/At interleavings) with event order, timestamps and
 // side effects identical to this implementation. Nothing in the simulation
-// product depends on it; only tests and the kernel benchmark harness
-// (internal/kernelbench) import it. Do not optimize this package — its
-// entire value is staying byte-for-byte faithful to the old semantics.
+// product depends on it: only tests and the kernel benchmark harness
+// (internal/kernelbench, which only its own Go benchmarks call) import it,
+// so no binary under cmd/ links it, and CI checks that none does. Do not
+// optimize this package — its entire value is staying byte-for-byte
+// faithful to the old semantics.
 package refheap
 
 import (

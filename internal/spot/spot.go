@@ -180,7 +180,7 @@ func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
 		}
 		aggs = append(aggs, a)
 	}
-	return x.Settle(Name, horizon, true, aggs), nil
+	return x.Settle(Name, horizon, true, aggs)
 }
 
 // Window snapshots every attached provider at virtual time t, for

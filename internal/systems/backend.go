@@ -159,18 +159,20 @@ type PartitionInstance = Instance
 
 // Platform is the state every instance shares: the engine, the cloud's
 // node pool, the accountant, the resource provision service, the
-// per-node setup cost, the provider names attached so far and, on a
-// streamed instance, its feeder and sources. Instances embed it, which
-// gives them Engine, PoolLoad, Accounting and Stream.
+// per-node setup cost, the provider names attached so far, the first
+// runtime-environment start that failed and, on a streamed instance, its
+// feeder and sources. Instances embed it, which gives them Engine,
+// PoolLoad, Accounting and Stream.
 type Platform struct {
-	engine  *sim.Engine
-	pool    *nodepool.Pool
-	acct    *metrics.Accountant
-	prov    *csf.ProvisionService
-	setup   float64
-	seen    map[string]bool
-	feeder  *stream.Feeder
-	sources map[string]stream.Source
+	engine   *sim.Engine
+	pool     *nodepool.Pool
+	acct     *metrics.Accountant
+	prov     *csf.ProvisionService
+	setup    float64
+	seen     map[string]bool
+	startErr error
+	feeder   *stream.Feeder
+	sources  map[string]stream.Source
 }
 
 // NewPlatform builds the shared state over a pool of capacity nodes
@@ -188,7 +190,7 @@ func NewPlatform(capacity int, opts Options) (Platform, error) {
 		engine: engine,
 		pool:   pool,
 		acct:   acct,
-		prov:   csf.NewProvisionService(pool, acct, opts.Provision, setup),
+		prov:   csf.NewProvisionService(pool, acct, opts.Provision),
 		setup:  setup,
 		seen:   make(map[string]bool),
 	}, nil
@@ -219,10 +221,26 @@ func (p *Platform) Claim(name string) error {
 	return nil
 }
 
+// Starter adapts a runtime environment's start to a start hook. A start
+// can fail when runtime environments that each fit the pool do not fit
+// together; the hook keeps the first such error, the run goes on without
+// that runtime environment, and Settle returns the error.
+func (p *Platform) Starter(start func() error) func() {
+	return func() {
+		if err := start(); err != nil && p.startErr == nil {
+			p.startErr = fmt.Errorf("systems: runtime environment start at t=%d: %w", p.engine.Now(), err)
+		}
+	}
+}
+
 // Settle closes every open lease at horizon and assembles the Result
 // over aggs. countAdjust is false only for owned machines (see
-// metrics.Accountant.CloseAll).
-func (p *Platform) Settle(system string, horizon sim.Time, countAdjust bool, aggs []ProviderAgg) Result {
+// metrics.Accountant.CloseAll). It fails with the first runtime
+// environment start that failed (see Starter).
+func (p *Platform) Settle(system string, horizon sim.Time, countAdjust bool, aggs []ProviderAgg) (Result, error) {
+	if p.startErr != nil {
+		return Result{}, p.startErr
+	}
 	p.acct.CloseAll(horizon, countAdjust)
-	return BuildResult(system, horizon, p.acct, p.setup, p.prov.RejectedRequests(), aggs)
+	return BuildResult(system, horizon, p.acct, p.setup, p.prov.RejectedRequests(), aggs), nil
 }

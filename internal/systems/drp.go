@@ -67,7 +67,7 @@ func (x *DRPInstance) Attach(wl *Workload) error {
 // Finalize settles open leases at horizon and assembles the Result over
 // every attached workload, in attach order.
 func (x *DRPInstance) Finalize(horizon sim.Time) (Result, error) {
-	return x.Settle("DRP", horizon, true, x.aggs()), nil
+	return x.Settle("DRP", horizon, true, x.aggs())
 }
 
 // Window snapshots every attached provider at virtual time t, for

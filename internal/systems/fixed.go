@@ -89,7 +89,7 @@ func (x *FixedInstance) Attach(wl *Workload) error {
 			return err
 		}
 		x.servers.Add(wl, srv)
-		return x.FeedJobs(wl, mustStart(x.engine, srv.Start), srv.Submit)
+		return x.FeedJobs(wl, x.Starter(srv.Start), srv.Submit)
 	case job.MTC:
 		srv, err := tre.NewMTCServer(x.engine, x.prov, cfg)
 		if err != nil {
@@ -97,7 +97,7 @@ func (x *FixedInstance) Attach(wl *Workload) error {
 		}
 		srv.DestroyAfter(len(wl.Jobs))
 		x.servers.Add(wl, srv)
-		return x.FeedWorkflows(wl, mustStart(x.engine, srv.Start), srv.SubmitWorkflow)
+		return x.FeedWorkflows(wl, x.Starter(srv.Start), srv.SubmitWorkflow)
 	}
 	return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
 }
@@ -120,22 +120,10 @@ func fixedParams(wl *Workload) policy.Params {
 	return params
 }
 
-// mustStart adapts a server's Start to a start hook that panics with
-// context on failure: server startup failure is a configuration error,
-// and the paper's provision policy guarantees initial grants on an
-// adequately sized pool.
-func mustStart(engine *sim.Engine, start func() error) func() {
-	return func() {
-		if err := start(); err != nil {
-			panic(fmt.Sprintf("systems: server start at t=%d: %v", engine.Now(), err))
-		}
-	}
-}
-
 // Finalize settles open leases at horizon and assembles the Result over
 // every attached workload, in attach order.
 func (x *FixedInstance) Finalize(horizon sim.Time) (Result, error) {
-	return x.Settle(x.system, horizon, !x.owned, x.servers.Aggs(horizon, x.owned)), nil
+	return x.Settle(x.system, horizon, !x.owned, x.servers.Aggs(horizon, x.owned))
 }
 
 // Window snapshots every attached provider at virtual time t, for

@@ -153,11 +153,12 @@ func TestQueueDrainAfterRejectionRecovers(t *testing.T) {
 	f := newFixture(t, 30)
 	s := newHTC(t, f, 10, 2.0)
 	// A competing tenant holds 15 nodes for one hour.
-	if err := f.prov.RequestInitial("tenant", 15); err != nil {
+	tenant, err := f.prov.RequestInitial("tenant", 15)
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.engine.Schedule(3600, func() {
-		if err := f.prov.Release("tenant", 15); err != nil {
+		if err := f.prov.ReleaseLease("tenant", tenant); err != nil {
 			t.Errorf("tenant release: %v", err)
 		}
 	})

@@ -11,6 +11,12 @@
 // ends the computing service; see MTCServer.DestroyAfter). Web portals are
 // the emulation's job source and are not modelled.
 //
+// Every node grant is a lease handle (metrics.Lease). Start takes the
+// initial lease; each dynamic grant is a RequestLease handle whose own
+// hourly idle check closes it once that many nodes sit idle (paper
+// Section 3.2.2), so a bill pairs each grant's start with its own end.
+// Destroy closes the initial lease and every grant still held.
+//
 // The trigger monitor is a workflow.Tracker, as in DRP and ssp-spot.
 // systems.Workload.Validate checks every workflow with one (unique task
 // IDs, dependencies inside the workflow, no cycle) before any system runs
@@ -23,6 +29,7 @@ import (
 
 	"repro/internal/csf"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -49,9 +56,11 @@ type Server struct {
 	engine *sim.Engine
 	prov   *csf.ProvisionService
 
-	queue job.Queue
-	owned int // nodes currently leased (initial + dynamic)
-	busy  int // nodes running jobs
+	queue   job.Queue
+	owned   int           // nodes currently leased (initial + dynamic)
+	busy    int           // nodes running jobs
+	initial metrics.Lease // held from Start until Destroy
+	grants  []*idleNode   // dynamic grants still held
 
 	submitted    int
 	destroyAfter int // completions that end the TRE; 0 never
@@ -95,36 +104,35 @@ func (n *compNode) run() {
 	s.complete(j)
 }
 
-// idleNode is a reusable hourly idle-release timer for one dynamic grant
-// (paper Section 3.2.2): it re-arms itself on the same node until the
-// block releases, then returns to the server's free list.
+// idleNode is one held dynamic grant with its hourly idle-release timer
+// (paper Section 3.2.2): it re-arms itself on the same node until its own
+// lease closes, then returns to the server's free list.
 type idleNode struct {
-	s    *Server
-	size int
-	fn   func()
+	s     *Server
+	lease metrics.Lease
+	size  int
+	slot  int // index in s.grants
+	fn    func()
 }
 
 func (n *idleNode) run() {
 	s := n.s
 	if s.destroyed {
-		n.release()
+		return // Destroy closed the lease
+	}
+	if !policy.ReleaseDecision(s.owned-s.busy, n.size) {
+		s.engine.Schedule(s.cfg.Params.IdleCheckInterval, n.fn)
 		return
 	}
-	idle := s.owned - s.busy
-	if policy.ReleaseDecision(idle, n.size) {
-		if err := s.prov.Release(s.cfg.Name, n.size); err != nil {
-			panic(fmt.Sprintf("tre: release %d from %s: %v", n.size, s.cfg.Name, err))
-		}
-		s.owned -= n.size
-		n.release()
-		return
+	if err := s.prov.ReleaseLease(s.cfg.Name, n.lease); err != nil {
+		panic(fmt.Sprintf("tre: release %d from %s: %v", n.size, s.cfg.Name, err))
 	}
-	s.engine.Schedule(s.cfg.Params.IdleCheckInterval, n.fn)
-}
-
-func (n *idleNode) release() {
-	n.size = 0
-	n.s.idleFree = append(n.s.idleFree, n)
+	s.owned -= n.size
+	last := s.grants[len(s.grants)-1]
+	last.slot = n.slot
+	s.grants[n.slot] = last
+	s.grants = s.grants[:len(s.grants)-1]
+	s.idleFree = append(s.idleFree, n)
 }
 
 // newServer builds the shared core.
@@ -166,9 +174,11 @@ func (s *Server) Start() error {
 	if s.started {
 		return fmt.Errorf("tre: %s already started", s.cfg.Name)
 	}
-	if err := s.prov.RequestInitial(s.cfg.Name, s.cfg.Params.InitialNodes); err != nil {
+	initial, err := s.prov.RequestInitial(s.cfg.Name, s.cfg.Params.InitialNodes)
+	if err != nil {
 		return err
 	}
+	s.initial = initial
 	s.owned = s.cfg.Params.InitialNodes
 	s.started = true
 	s.stopScan = s.engine.Every(s.cfg.Params.ScanInterval, s.scan)
@@ -213,9 +223,9 @@ func (s *Server) scan() {
 	}
 	kind, size := policy.Decide(state, s.cfg.Params)
 	if kind != policy.NoRequest {
-		if granted := s.prov.RequestDynamic(s.cfg.Name, size); granted > 0 {
+		if lease, granted := s.prov.RequestLease(s.cfg.Name, size); granted > 0 {
 			s.owned += granted
-			s.armIdleCheck(granted)
+			s.armIdleCheck(lease, granted)
 			s.dispatch()
 		}
 	}
@@ -287,11 +297,11 @@ func (s *Server) complete(j *job.Job) {
 	}
 }
 
-// armIdleCheck registers the paper's hourly release timer for one dynamic
-// grant: once the block's worth of nodes sit idle, release exactly that
-// block; otherwise check again next hour. The timer runs on a recycled
-// idleNode instead of a fresh closure per grant.
-func (s *Server) armIdleCheck(size int) {
+// armIdleCheck holds one dynamic grant and registers the paper's hourly
+// release timer for it: once the grant's worth of nodes sit idle, close
+// exactly that lease; otherwise check again next hour. The timer runs on
+// a recycled idleNode instead of a fresh closure per grant.
+func (s *Server) armIdleCheck(lease metrics.Lease, size int) {
 	var n *idleNode
 	if k := len(s.idleFree); k > 0 {
 		n = s.idleFree[k-1]
@@ -300,26 +310,33 @@ func (s *Server) armIdleCheck(size int) {
 		n = &idleNode{s: s}
 		n.fn = n.run
 	}
-	n.size = size
+	n.lease, n.size, n.slot = lease, size, len(s.grants)
+	s.grants = append(s.grants, n)
 	s.engine.Schedule(s.cfg.Params.IdleCheckInterval, n.fn)
 }
 
-// Destroy stops the scan loop and releases every node the TRE holds,
-// including the initial lease (paper lifecycle step 8).
+// Destroy stops the scan loop and closes every lease the TRE holds: the
+// initial lease and each dynamic grant (paper lifecycle step 8). A grant's
+// idle timer still armed finds the TRE destroyed and does nothing.
 func (s *Server) Destroy() error {
 	if s.destroyed {
 		return fmt.Errorf("tre: %s already destroyed", s.cfg.Name)
 	}
 	s.destroyed = true
-	if s.stopScan != nil {
-		s.stopScan()
+	if !s.started {
+		return nil
 	}
-	if s.owned > 0 {
-		if err := s.prov.Release(s.cfg.Name, s.owned); err != nil {
+	s.stopScan()
+	if err := s.prov.ReleaseLease(s.cfg.Name, s.initial); err != nil {
+		return err
+	}
+	for _, n := range s.grants {
+		if err := s.prov.ReleaseLease(s.cfg.Name, n.lease); err != nil {
 			return err
 		}
-		s.owned = 0
 	}
+	s.grants = nil
+	s.owned = 0
 	return nil
 }
 

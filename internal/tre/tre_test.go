@@ -27,7 +27,7 @@ func newFixture(t *testing.T, capacity int) *fixture {
 		t.Fatal(err)
 	}
 	acct := metrics.NewAccountant(engine.Now)
-	prov := csf.NewProvisionService(pool, acct, policy.GrantOrReject, csf.DefaultNodeSetupSeconds)
+	prov := csf.NewProvisionService(pool, acct, policy.GrantOrReject)
 	return &fixture{engine: engine, pool: pool, acct: acct, prov: prov}
 }
 
@@ -200,6 +200,75 @@ func TestInitialResourcesNeverReleasedByIdleCheck(t *testing.T) {
 	f.engine.Run(14 * 24 * 3600) // two idle weeks
 	if s.Owned() != 25 {
 		t.Errorf("Owned = %d, want 25 (initial lease kept)", s.Owned())
+	}
+}
+
+// twoGrants runs a B=1, R=100 runtime environment through two dynamic
+// grants of one node each: a 2-node job submitted at t=0 gets grant A at
+// the t=60 scan and runs 100 s; a 3-node job submitted at t=1,800 gets
+// grant B at the t=1,860 scan and runs 1,000 s. A's idle check fires at
+// t=3,660 and B's at t=5,460.
+func twoGrants(t *testing.T, f *fixture) *Server {
+	t.Helper()
+	s := newHTC(t, f, 1, 100)
+	s.Submit(&job.Job{ID: 1, Nodes: 2, Runtime: 100})
+	f.engine.At(1800, func() { s.Submit(&job.Job{ID: 2, Nodes: 3, Runtime: 1000}) })
+	return s
+}
+
+// TestIdleCheckClosesItsOwnGrant pins the release rule of paper Section
+// 3.2.2: an hourly idle check closes the grant it watches. A's check at
+// t=3,660 closes A ([60, 3,660): 1 h) and B's check at t=5,460 closes B
+// ([1,860, 5,460): 1 h); the initial node bills the 4 h horizon, so the
+// bill is 6 node-hours. Closing the newest grant at A's check instead
+// would bill B for 1 h and A for 2 h ([60, 5,460)): 7 node-hours.
+func TestIdleCheckClosesItsOwnGrant(t *testing.T) {
+	f := newFixture(t, 100)
+	s := twoGrants(t, f)
+	const horizon = 4 * 3600
+	f.engine.Run(horizon)
+	if s.Completed() != 2 || s.Owned() != 1 {
+		t.Fatalf("Completed = %d, Owned = %d; want 2 and 1", s.Completed(), s.Owned())
+	}
+	f.acct.CloseAll(horizon, true)
+	if got := f.acct.BilledNodeHours("htc-test"); got != 6 {
+		t.Errorf("BilledNodeHours = %g, want 6", got)
+	}
+	// Acquires 1+1+1, idle closes 1+1, the initial node at CloseAll.
+	if got := f.acct.NodesAdjusted("htc-test"); got != 6 {
+		t.Errorf("NodesAdjusted = %d, want 6", got)
+	}
+	if got := f.acct.PeakNodes(); got != 3 {
+		t.Errorf("PeakNodes = %d, want 3", got)
+	}
+}
+
+// TestDestroyClosesArmedGrantsOnce destroys the runtime environment of
+// TestIdleCheckClosesItsOwnGrant at t=3,000, while both grants' idle
+// timers are still armed: every lease bills once, up to the destroy
+// instant, and the timers that fire later close nothing.
+func TestDestroyClosesArmedGrantsOnce(t *testing.T) {
+	f := newFixture(t, 100)
+	s := twoGrants(t, f)
+	f.engine.Run(3000)
+	if s.Owned() != 3 {
+		t.Fatalf("Owned = %d before destroy, want 3", s.Owned())
+	}
+	if err := s.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 4 * 3600
+	f.engine.Run(horizon)
+	if f.pool.InUse() != 0 {
+		t.Errorf("pool in use = %d after destroy, want 0", f.pool.InUse())
+	}
+	f.acct.CloseAll(horizon, true)
+	// Initial [0, 3,000), A [60, 3,000) and B [1,860, 3,000): 1 h each.
+	if got := f.acct.BilledNodeHours("htc-test"); got != 3 {
+		t.Errorf("BilledNodeHours = %g, want 3", got)
+	}
+	if got := f.acct.NodesAdjusted("htc-test"); got != 6 {
+		t.Errorf("NodesAdjusted = %d, want 6", got)
 	}
 }
 

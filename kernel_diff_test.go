@@ -19,6 +19,13 @@ import (
 // system's Result exactly: any drift in event order, timestamps or
 // tie-breaking shows up as a numeric difference here.
 //
+// One deliberate re-pin since: runtime environments now hold every grant
+// by lease handle, and an hourly idle check closes the grant it watches
+// (paper Section 3.2.2) instead of the owner's newest block. That moved
+// exactly three numbers, regenerated with the new code: DawningCloud's
+// nasa-htc and blue-htc NodeHours and its TotalNodeHours. Every other
+// field, and every other system, is still the reference kernel's.
+//
 // The kernel-level half of the suite (random Cancel/Every/Stop/At
 // interleavings replayed through both kernels) lives in
 // internal/sim/diff_test.go.

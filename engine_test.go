@@ -415,6 +415,67 @@ func TestScenarioCancellation(t *testing.T) {
 	}
 }
 
+// TestLiveRunWithRefusedStartFails pins that a live-fed run whose second
+// runtime environment the pool cannot start ends failed while its lanes
+// are still open, and that producers blocked pushing into them learn the
+// run is over (ErrRunTerminal) instead of hanging.
+func TestLiveRunWithRefusedStartFails(t *testing.T) {
+	eng := NewEngine(WithServiceConfig(ServiceConfig{Workers: 1}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := eng.Shutdown(ctx); err != nil {
+			t.Errorf("engine shutdown: %v", err)
+		}
+	})
+	spec, err := ParseScenario([]byte(`{"name":"live-refused","days":1,"systems":["SSP"],
+		"pool":{"capacity":150},"stream":{"enabled":true},
+		"providers":[{"name":"a","fixed_nodes":128,"source":{"kind":"live"}},
+		             {"name":"b","fixed_nodes":128,"source":{"kind":"live"}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := eng.Submit(context.Background(), SubmitRequest{Scenario: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed, ok := eng.Feed(h.ID())
+	if !ok {
+		t.Fatal("live run has no feed")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	produced := make(chan error, 2)
+	for _, lane := range []string{"a", "b"} {
+		src, err := feed.Get(lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			// Push far more than the lane buffer and never close: only
+			// the run's end can unblock this producer.
+			for i := 0; ; i++ {
+				j := Job{ID: i + 1, Class: HTC, Submit: int64(i) * 60, Runtime: 600, Nodes: 1}
+				if err := src.Push(ctx, j); err != nil {
+					produced <- err
+					return
+				}
+			}
+		}()
+	}
+	if _, err := h.Result(ctx); err == nil || !strings.Contains(err.Error(), "initial provision for b") {
+		t.Fatalf("result error = %v, want the refused start of b", err)
+	}
+	if st := h.Status(); st != RunStatusFailed {
+		t.Errorf("status = %v, want %v", st, RunStatusFailed)
+	}
+	for range 2 {
+		if err := <-produced; !errors.Is(err, ErrRunTerminal) {
+			t.Errorf("producer ended with %v, want ErrRunTerminal", err)
+		}
+	}
+}
+
 // TestFeedRetiredOnceResultReturns pins that a finished live run hands
 // out no feed: Feed reports false as soon as the run's result is
 // available, not only once the feed's retirement has run. A producer

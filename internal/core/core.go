@@ -128,8 +128,8 @@ func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
 
 // createTRE returns the start hook that walks a thin runtime
 // environment through the CSF create-and-start lifecycle, starting its
-// server once the TRE is running. A failed creation or start fails the
-// run at Finalize (see systems.Platform.Starter).
+// server once the TRE is running. A failed creation or start stops the
+// run and fails it at Finalize (see systems.Platform.Starter).
 func (x *Instance) createTRE(name, kind string, start func() error) func() {
 	return x.Starter(func() error {
 		_, err := x.framework.CreateTRE(name, kind, x.Starter(start))

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,4 +224,26 @@ func containsSub(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestRefusedStartStopsStreamedRun pins that a runtime environment the
+// pool cannot start ends a streamed run at the failing instant: two
+// 128-node providers that each fit a 150-node pool but not together
+// fail naming the second one, and no window report leaves out the
+// refused provider on the way.
+func TestRefusedStartStopsStreamedRun(t *testing.T) {
+	spec, err := ParseBytes([]byte(`{"name":"contention","days":1,"systems":["SSP"],
+		"pool":{"capacity":150},"stream":{"enabled":true,"window_seconds":43200},
+		"providers":[{"name":"org","count":2,"fixed_nodes":128,"source":{"kind":"synth","model":"nasa"}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var caught captureSink
+	_, err = RunContext(context.Background(), spec, 1, caught.sink())
+	if err == nil || !strings.Contains(err.Error(), "initial provision for org-01") {
+		t.Fatalf("err = %v, want the refused start of org-01", err)
+	}
+	if len(caught.reports) != 0 {
+		t.Errorf("got %d window reports after the refused start, want 0", len(caught.reports))
+	}
 }

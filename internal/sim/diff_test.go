@@ -21,6 +21,7 @@ type kernelOps struct {
 	schedule func(d int64, fn func()) int64
 	cancel   func(id int64) bool
 	every    func(interval int64, fn func()) func()
+	pending  func() bool
 	stop     func()
 	run      func(until int64)
 	runAll   func()
@@ -36,6 +37,7 @@ func fastOps(e *Engine) kernelOps {
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
 		every:    e.Every,
+		pending:  e.HasPending,
 		stop:     e.Stop,
 		run:      e.Run,
 		runAll:   e.RunAll,
@@ -52,6 +54,7 @@ func refOps(e *refheap.Engine) kernelOps {
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
 		every:    e.Every,
+		pending:  e.HasPending,
 		stop:     e.Stop,
 		run:      e.Run,
 		runAll:   e.RunAll,
@@ -75,6 +78,7 @@ func fastStepOps(e *Engine) kernelOps {
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
 		every:    e.Every,
+		pending:  e.HasPending,
 		stop:     func() { stopped = true },
 		run: func(until int64) {
 			stopped = false
@@ -118,6 +122,7 @@ func refStepOps(e *refheap.Engine) kernelOps {
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
 		every:    e.Every,
+		pending:  e.HasPending,
 		stop:     func() { stopped = true },
 		run: func(until int64) {
 			stopped = false
@@ -151,8 +156,9 @@ type traceEntry struct {
 // script replays one seeded schedule — initial events that spawn children
 // and cancel peers, sorted, unsorted and empty batches (issued up front,
 // between windows and from inside firing events and batch items, with
-// items at the current instant), periodic timers that stop themselves,
-// mid-run Stop calls, segmented Run windows — against a kernel, returning
+// items at the current instant), periodic timers that stop themselves
+// or each other, a timer that compacts the heap while it fires, mid-run
+// Stop calls, segmented Run windows — against a kernel, returning
 // the full observable trace. Every random draw comes from generator state
 // advanced identically on both kernels as long as their execution orders
 // agree; any divergence shows up as differing traces.
@@ -232,6 +238,7 @@ func script(seed int64, ops kernelOps) []traceEntry {
 
 	// Periodic timers that stop themselves after a few ticks, plus one
 	// stopped externally mid-run and one stopped twice (a no-op).
+	var stopTick0 func()
 	for k := 0; k < 4; k++ {
 		interval := rng.Int63n(400) + 50
 		limit := rng.Int63n(6) + 1
@@ -245,9 +252,48 @@ func script(seed int64, ops kernelOps) []traceEntry {
 				stopTick()
 			}
 		})
+		if k == 0 {
+			stopTick0 = stopTick
+		}
 	}
 	extTag := int64(20_000)
 	stopExt := ops.every(rng.Int63n(300)+100, func() { record("tick", extTag, false) })
+
+	// A timer whose callback schedules and cancels more events than the
+	// queue holds (and at least compactMinDead), so the heap compacts
+	// while the timer's own node is firing. It asks whether anything is
+	// pending from inside the callback, schedules an event at its own
+	// next tick's instant, stops a self-stopping timer on its second
+	// tick, and on its third stops itself before cancelling, so
+	// compaction also meets a stopped firing node.
+	compTag := int64(25_000)
+	compInterval := rng.Int63n(300) + 200
+	compTicks := 0
+	var stopComp func()
+	stopComp = ops.every(compInterval, func() {
+		compTicks++
+		record("tick", compTag, false)
+		record("pending", compTag, ops.pending())
+		// Due at this timer's next tick, and scheduled first: it must
+		// fire before that tick.
+		ids = append(ids, ops.schedule(compInterval, fire(compTag-int64(compTicks), 3, seed)))
+		switch compTicks {
+		case 2:
+			stopTick0()
+		case 3:
+			stopComp()
+		}
+		doomed := make([]int64, ops.length()+compactMinDead)
+		for i := range doomed {
+			doomed[i] = ops.schedule(int64(i%700), fire(compTag+int64(i), 3, seed+int64(i)))
+		}
+		for i, id := range doomed {
+			if !ops.cancel(id) {
+				record("cancel", compTag+int64(i), false)
+			}
+		}
+		record("pending", compTag, ops.pending())
+	})
 
 	// Cancel a random subset up front, plus foreign and malformed ids.
 	for i, id := range ids {

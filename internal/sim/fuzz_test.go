@@ -6,12 +6,16 @@ import (
 )
 
 // FuzzEventOrder feeds arbitrary byte programs to the kernel — schedule,
-// cancel, run-segment, foreign-cancel and batch opcodes — and checks the
-// heap's core invariants on whatever schedule results:
+// cancel, run-segment, foreign-cancel, batch and Every opcodes — and
+// checks the heap's core invariants on whatever schedule results:
 //
 //   - events pop in nondecreasing virtual time;
-//   - same-time events pop FIFO (in schedule order);
+//   - same-time events pop FIFO (in schedule order), where a timer's
+//     next tick is scheduled when its callback returns;
 //   - exactly the scheduled-minus-cancelled events fire;
+//   - inside every callback, Len counts exactly the events still
+//     pending (a firing timer's next tick is not pending yet), and
+//     HasPending agrees with it;
 //   - Len reports zero once the queue drains.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
@@ -19,6 +23,10 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 255, 0, 0, 0, 0, 1, 9, 3, 0, 0, 7})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 2, 255})
 	f.Add([]byte{4, 0x10, 4, 0x51, 4, 0x02, 0, 3, 4, 0x93, 2, 4, 4, 0x37, 4, 0xfb, 4, 0x03})
+	f.Add([]byte{5, 0x26})
+	f.Add([]byte{5, 0x80})
+	f.Add([]byte{0, 6, 5, 0x4d, 5, 0xf2, 0, 6, 5, 0x8b, 2, 5, 5, 0x17, 1, 1})
+	f.Add([]byte{5, 0xff, 5, 0x5e, 0, 0, 5, 0xa1, 2, 3, 5, 0x3c, 3, 1, 2, 9})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		e := New()
 		type firing struct {
@@ -29,6 +37,84 @@ func FuzzEventOrder(f *testing.F) {
 		var ids []EventID
 		seq := 0
 		scheduled, cancelled := 0, 0
+		record := func(mySeq int) {
+			fired = append(fired, firing{time: e.Now(), seq: mySeq})
+			if got, want := e.Len(), scheduled-cancelled-len(fired); got != want {
+				t.Fatalf("Len() = %d inside a callback at t=%d, want %d pending", got, e.Now(), want)
+			}
+		}
+		schedule := func(delay Time) {
+			mySeq := seq
+			seq++
+			scheduled++
+			ids = append(ids, e.Schedule(delay, func() { record(mySeq) }))
+		}
+		cancel := func(i int) {
+			if len(ids) > 0 && e.Cancel(ids[i%len(ids)]) {
+				cancelled++
+			}
+		}
+
+		// A timer's next tick counts as scheduled when it is armed: at
+		// Every, and again when a callback returns without stopping it.
+		type timer struct {
+			stop           func()
+			seq            int
+			armed, stopped bool
+		}
+		var timers []*timer
+		stopTimer := func(tm *timer) {
+			if !tm.stopped && tm.armed {
+				cancelled++
+			}
+			tm.stopped, tm.armed = true, false
+			tm.stop()
+		}
+		// every starts a timer ticking every arg&3+1 seconds that stops
+		// itself after arg>>2&3+1 ticks. Each tick does what arg>>4's
+		// bits say: schedule at the current instant, schedule at its own
+		// next tick's instant, cancel an event or stop a timer (itself
+		// included), and ask HasPending from inside the callback.
+		every := func(arg byte) {
+			interval := Time(arg&3) + 1
+			limit := int(arg>>2&3) + 1
+			tm := &timer{seq: seq, armed: true}
+			seq++
+			scheduled++
+			ticks := 0
+			timers = append(timers, tm)
+			tm.stop = e.Every(interval, func() {
+				tm.armed = false
+				record(tm.seq)
+				ticks++
+				if arg&0x10 != 0 {
+					schedule(0)
+				}
+				if arg&0x20 != 0 {
+					schedule(interval)
+				}
+				if arg&0x40 != 0 {
+					if v := (int(arg) + ticks) % (len(ids) + len(timers)); v < len(ids) {
+						cancel(v)
+					} else {
+						stopTimer(timers[v-len(ids)])
+					}
+				}
+				if arg&0x80 != 0 {
+					if has := e.HasPending(); has != (e.Len() > 0) {
+						t.Fatalf("HasPending() = %v inside a tick with Len() = %d", has, e.Len())
+					}
+				}
+				if ticks >= limit {
+					stopTimer(tm)
+				}
+				if !tm.stopped {
+					tm.seq, tm.armed = seq, true
+					seq++
+					scheduled++
+				}
+			})
+		}
 
 		// batch issues n = arg>>4&7 items at now + a delay drawn from the
 		// batch's own bytes, in one of four shapes picked by arg&3:
@@ -56,7 +142,7 @@ func FuzzEventOrder(f *testing.F) {
 				scheduled += len(delays)
 				e.ScheduleBatch(len(delays),
 					func(i int) Time { return now + delays[i] },
-					func(i int) { fired = append(fired, firing{time: e.Now(), seq: base + i}) })
+					func(i int) { record(base + i) })
 			}
 			if arg&3 != 3 {
 				issue()
@@ -66,7 +152,7 @@ func FuzzEventOrder(f *testing.F) {
 			seq++
 			scheduled++
 			e.Schedule(0, func() {
-				fired = append(fired, firing{time: e.Now(), seq: mySeq})
+				record(mySeq)
 				issue()
 			})
 		}
@@ -86,20 +172,11 @@ func FuzzEventOrder(f *testing.F) {
 				break
 			}
 			arg, _ := next()
-			switch op % 5 {
+			switch op % 6 {
 			case 0: // schedule at now+arg
-				mySeq := seq
-				seq++
-				scheduled++
-				ids = append(ids, e.Schedule(Time(arg), func() {
-					fired = append(fired, firing{time: e.Now(), seq: mySeq})
-				}))
+				schedule(Time(arg))
 			case 1: // cancel the arg-th issued id
-				if len(ids) > 0 {
-					if e.Cancel(ids[int(arg)%len(ids)]) {
-						cancelled++
-					}
-				}
+				cancel(int(arg))
 			case 2: // run a bounded segment
 				e.Run(e.Now() + Time(arg))
 			case 3: // cancel a foreign id; must never report success
@@ -108,6 +185,8 @@ func FuzzEventOrder(f *testing.F) {
 				}
 			case 4: // schedule a batch
 				batch(arg)
+			case 5: // start a timer
+				every(arg)
 			}
 		}
 		e.RunAll()

@@ -352,9 +352,10 @@ func TestReservePreGrowsWithoutScheduling(t *testing.T) {
 	}
 }
 
-// TestEveryStopIsIdempotentAndStaleStopInert covers the pooled-ticker
+// TestEveryStopIsIdempotentAndStaleStopInert covers the stop function's
 // hazards: stopping twice is a no-op, and a stop function retained after
-// its ticker was recycled into a new Every must not stop the new timer.
+// its timer's slot was recycled into a new Every must not stop the new
+// timer.
 func TestEveryStopIsIdempotentAndStaleStopInert(t *testing.T) {
 	e := New()
 	ticksA := 0
@@ -366,8 +367,7 @@ func TestEveryStopIsIdempotentAndStaleStopInert(t *testing.T) {
 		t.Fatalf("ticksA = %d, want 3", ticksA)
 	}
 
-	// Recycle until the pool hands back a node; whichever node backs B,
-	// the stale stopA must not affect it.
+	// B reuses A's freed slot; the stale stopA must not affect it.
 	ticksB := 0
 	stopB := e.Every(10, func() { ticksB++ })
 	stopA() // stale: must be inert
@@ -382,10 +382,10 @@ func TestEveryStopIsIdempotentAndStaleStopInert(t *testing.T) {
 	}
 }
 
-// TestEveryStopInsideCallbackThenNewEvery exercises the in-flight release
-// path: a callback stops its own ticker and immediately starts a new
-// periodic timer (possibly reusing the pooled node); the old chain must
-// end and the new one must tick alone.
+// TestEveryStopInsideCallbackThenNewEvery exercises the in-flight stop
+// path: a callback stops its own timer and immediately starts a new
+// periodic timer; the old chain must end and the new one must tick
+// alone.
 func TestEveryStopInsideCallbackThenNewEvery(t *testing.T) {
 	e := New()
 	oldTicks, newTicks := 0, 0
@@ -408,8 +408,8 @@ func TestEveryStopInsideCallbackThenNewEvery(t *testing.T) {
 }
 
 // TestManyEveryTimersReusePool spins up and stops many timers in
-// sequence; the pool should keep slab/ticker churn flat, and every timer
-// must tick exactly its share.
+// sequence; the slab's free list should keep slot churn flat, and every
+// timer must tick exactly its share.
 func TestManyEveryTimersReusePool(t *testing.T) {
 	e := New()
 	total := 0
@@ -423,6 +423,85 @@ func TestManyEveryTimersReusePool(t *testing.T) {
 	}
 	if e.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0 (all timers cancelled)", e.Len())
+	}
+	if len(e.slab) > 2 {
+		t.Fatalf("slab grew to %d slots for one timer at a time", len(e.slab))
+	}
+}
+
+// TestTimerFiresInPlaceThroughCompaction pins the firing timer's
+// exemptions: its node stays at heap[0] while the callback runs, a
+// compaction triggered from the callback keeps it even after the timer
+// stopped itself, and afterwards its slot is freed exactly once.
+func TestTimerFiresInPlaceThroughCompaction(t *testing.T) {
+	e := New()
+	e.Schedule(1000, func() {})
+	ticks := 0
+	var slot int32 = -1
+	var stop func()
+	stop = e.Every(10, func() {
+		ticks++
+		if slot < 0 {
+			slot = e.heap[0].slot
+		}
+		if e.heap[0].slot != slot {
+			t.Fatalf("tick %d: heap[0] holds slot %d, want the firing timer's %d", ticks, e.heap[0].slot, slot)
+		}
+		if ticks == 2 {
+			stop()
+		}
+		before := len(e.heap)
+		ids := make([]EventID, 2*compactMinDead)
+		for i := range ids {
+			ids[i] = e.Schedule(Time(i), func() { t.Error("cancelled event fired") })
+		}
+		for _, id := range ids {
+			e.Cancel(id)
+		}
+		if len(e.heap) >= before+len(ids) || e.heap[0].slot != slot {
+			t.Fatalf("tick %d: heap %d -> %d with top slot %d, want a compaction that kept the timer (slot %d) on top",
+				ticks, before, len(e.heap), e.heap[0].slot, slot)
+		}
+		if e.Len() != 1 {
+			t.Fatalf("tick %d: Len() = %d inside the callback, want 1", ticks, e.Len())
+		}
+	})
+	e.RunAll()
+	if ticks != 2 {
+		t.Fatalf("ticks = %d, want 2 (stopped on the second)", ticks)
+	}
+	if e.Len() != 0 || len(e.heap) != 0 || len(e.free) != len(e.slab) {
+		t.Fatalf("after drain: Len %d heap %d free %d slab %d, want every slot free exactly once",
+			e.Len(), len(e.heap), len(e.free), len(e.slab))
+	}
+}
+
+// TestPeekFromTimerCallbackDetachesIt pins the step primitives called
+// from inside a timer's callback: the firing timer is not pending, so
+// HasPending and PeekNextTime skip it, and the timer still re-arms.
+func TestPeekFromTimerCallbackDetachesIt(t *testing.T) {
+	e := New()
+	var ticks []Time
+	var peeked []bool
+	stop := e.Every(10, func() {
+		ticks = append(ticks, e.Now())
+		peeked = append(peeked, e.HasPending())
+		if next, ok := e.PeekNextTime(); ok && next < e.Now() {
+			t.Fatalf("PeekNextTime() = %d before now %d", next, e.Now())
+		}
+	})
+	e.Schedule(15, func() {})
+	e.Run(30)
+	stop()
+	e.RunAll()
+	if want := []Time{10, 20, 30}; !slices.Equal(ticks, want) {
+		t.Fatalf("ticks at %v, want %v", ticks, want)
+	}
+	if want := []bool{true, false, false}; !slices.Equal(peeked, want) {
+		t.Fatalf("HasPending inside ticks = %v, want %v", peeked, want)
+	}
+	if e.Len() != 0 || len(e.free) != len(e.slab) {
+		t.Fatalf("after stop: Len %d free %d slab %d", e.Len(), len(e.free), len(e.slab))
 	}
 }
 

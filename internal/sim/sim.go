@@ -46,9 +46,13 @@
 //     outnumber live nodes (and exceed a small floor), the heap compacts,
 //     dropping every dead entry in one O(n) heapify, so a
 //     schedule-many/cancel-many workload cannot leak queue space.
-//   - Every runs on timer nodes recycled through a sync.Pool; a
-//     long-lived periodic scan allocates once, not once per simulated
-//     provider per run.
+//   - An Every timer is one slab entry (fn and its interval) and one heap
+//     node. While its callback runs, the node stays at heap[0] (it is the
+//     minimum, and everything scheduled meanwhile takes a later seq);
+//     Step then re-keys it in place to (now+interval, next seq), the key
+//     a Schedule call after the callback would take, with one siftDown.
+//     A firing timer is not pending: Len leaves it out, Cancel only
+//     marks it stopped, compaction keeps it, and peekLive detaches it.
 //
 // Invariants checked by the property/fuzz suite (see fuzz_test.go and
 // diff_test.go): pops are nondecreasing in time and FIFO-stable per
@@ -83,7 +87,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
 // Time is a point in virtual time, in seconds since the simulation epoch.
@@ -123,15 +126,17 @@ func unpackID(id EventID) (slot int, gen uint32, ok bool) {
 	return int(slotPlus1) - 1, uint32(uint64(id)>>32) & 0xffffffff, true
 }
 
-// event is one slab entry: a single event's callback (fn) or a batch run
-// (run). A live entry is scheduled and uncancelled; a dead entry either
-// waits at its heap position to be skipped (cancelled) or sits on the
-// free list (fired/compacted/skipped).
+// event is one slab entry: a single event's callback (fn), a timer's
+// callback and interval, or a batch run (run). A live entry is scheduled
+// and uncancelled (a firing timer's re-arms); a dead entry either waits at
+// its heap position to be skipped (cancelled) or sits on the free list.
 type event struct {
-	fn   func()
-	run  *batchRun
-	gen  uint32 // bumped on every free; stale-ID guard
-	live bool
+	fn       func()
+	run      *batchRun
+	interval Time   // > 0 for an Every timer
+	gen      uint32 // bumped on every free; stale-ID guard
+	live     bool
+	firing   bool
 }
 
 // batchRun is the undelivered part of one stretch of a ScheduleBatch
@@ -254,23 +259,27 @@ func (e *Engine) popTop() {
 // here.
 func (e *Engine) freeSlot(slot int32) {
 	ev := &e.slab[slot]
-	ev.fn, ev.run = nil, nil
+	ev.fn, ev.run, ev.interval = nil, nil, 0
 	ev.live = false
 	ev.gen = (ev.gen + 1) & genMask
 	e.free = append(e.free, slot)
 }
 
 // peekLive surfaces the earliest live entry, discarding any cancelled
-// entries that have reached the top. On ok, e.heap[0] is that entry.
+// entries that have reached the top. On ok, e.heap[0] is that entry. A
+// firing timer's node is detached, not freed (see rearm).
 func (e *Engine) peekLive() (node heapNode, ok bool) {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
-		if e.slab[top.slot].live {
+		ev := &e.slab[top.slot]
+		if ev.live && !ev.firing {
 			return top, true
 		}
 		e.popTop()
-		e.freeSlot(top.slot)
-		e.dead--
+		if !ev.firing {
+			e.freeSlot(top.slot)
+			e.dead--
+		}
 	}
 	return heapNode{}, false
 }
@@ -286,7 +295,7 @@ func (e *Engine) maybeCompact() {
 	}
 	kept := e.heap[:0]
 	for _, n := range e.heap {
-		if e.slab[n.slot].live {
+		if ev := &e.slab[n.slot]; ev.live || ev.firing {
 			kept = append(kept, n)
 		} else {
 			e.freeSlot(n.slot)
@@ -420,55 +429,13 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	ev.live = false
 	ev.fn = nil
+	if ev.firing {
+		return true // a timer stopped from its own callback: Step frees it
+	}
 	e.live--
 	e.dead++
 	e.maybeCompact()
 	return true
-}
-
-// ticker is a pooled timer node backing Every. The node carries its own
-// bound tick function, so rescheduling a periodic timer allocates
-// nothing; nodes recycle through tickerPool across engines.
-//
-// Ownership: a node can only reach the pool through its own stop
-// function (directly, or via the tick tail when stop ran from inside the
-// callback). The stop closure nils its node reference after its first
-// call, so a retained stop function never reads or writes a node that
-// another engine — possibly on another goroutine — has since recycled.
-// The epoch is a second, belt-and-braces guard for the same hazard.
-type ticker struct {
-	e        *Engine
-	interval Time
-	fn       func()
-	tickFn   func() // t.tick, bound once per node
-	id       EventID
-	epoch    uint64
-	stopped  bool
-	inFlight bool
-}
-
-var tickerPool = sync.Pool{New: func() any { return new(ticker) }}
-
-func (t *ticker) tick() {
-	if t.stopped {
-		return
-	}
-	t.inFlight = true
-	t.fn()
-	t.inFlight = false
-	if t.stopped {
-		t.release()
-		return
-	}
-	t.id = t.e.Schedule(t.interval, t.tickFn)
-}
-
-// release returns the node to the pool. The epoch is deliberately kept:
-// it must keep growing across reuses so stale stop functions stay inert.
-func (t *ticker) release() {
-	t.e = nil
-	t.fn = nil
-	tickerPool.Put(t)
 }
 
 // Every schedules fn to run now+interval, now+2*interval, ... until the
@@ -479,31 +446,10 @@ func (e *Engine) Every(interval Time, fn func()) (stop func()) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %d", interval))
 	}
-	t := tickerPool.Get().(*ticker)
-	t.e = e
-	t.interval = interval
-	t.fn = fn
-	t.stopped = false
-	t.inFlight = false
-	t.epoch++
-	if t.tickFn == nil {
-		t.tickFn = t.tick
-	}
-	epoch := t.epoch
-	t.id = e.Schedule(interval, t.tickFn)
-	return func() {
-		if t == nil {
-			return // second call: the node is gone, possibly recycled
-		}
-		if t.epoch == epoch && !t.stopped {
-			t.stopped = true
-			t.e.Cancel(t.id)
-			if !t.inFlight {
-				t.release()
-			}
-		}
-		t = nil
-	}
+	id := e.Schedule(interval, fn)
+	slot, _, _ := unpackID(id)
+	e.slab[slot].interval = interval
+	return func() { e.Cancel(id) }
 }
 
 // Stop makes the current Run return after the in-flight event completes.
@@ -555,11 +501,39 @@ func (e *Engine) Step() bool {
 		r.fire(i)
 		return true
 	}
-	fn := e.slab[top.slot].fn
+	ev := &e.slab[top.slot]
+	fn := ev.fn
+	if ev.interval > 0 {
+		ev.firing = true // its node stays at heap[0] until rearm
+		fn()
+		e.rearm(top.slot)
+		return true
+	}
 	e.popTop()
 	e.freeSlot(top.slot)
 	fn()
 	return true
+}
+
+// rearm ends a timer's tick: a stopped timer's node leaves the heap and
+// its slot is freed, a live one is re-keyed in place. A node peekLive
+// detached goes back on top first, under a key below every pending one.
+func (e *Engine) rearm(slot int32) {
+	ev := &e.slab[slot]
+	ev.firing = false
+	if len(e.heap) == 0 || e.heap[0].slot != slot {
+		e.heap = append(e.heap, heapNode{time: e.now, slot: slot})
+		e.siftUp(len(e.heap) - 1)
+	}
+	if !ev.live {
+		e.popTop()
+		e.freeSlot(slot)
+		return
+	}
+	e.nextSeq++
+	e.live++
+	e.heap[0] = heapNode{time: e.now + ev.interval, seq: e.nextSeq, slot: slot}
+	e.siftDown(0)
 }
 
 // cancelCheckEvery is how many events execute between context checks in

@@ -258,6 +258,16 @@ func TestNilFuncPanics(t *testing.T) {
 	e.At(5, nil)
 }
 
+func TestEveryNilFuncPanics(t *testing.T) {
+	e := New()
+	defer func() {
+		if recover() == nil {
+			t.Error("Every with a nil fn did not panic")
+		}
+	}()
+	e.Every(10, nil)
+}
+
 func TestEveryNonPositiveIntervalPanics(t *testing.T) {
 	e := New()
 	defer func() {

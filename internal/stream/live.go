@@ -33,14 +33,14 @@ const DefaultLiveBuffer = 1024
 // cannot interrupt a blocked event callback, drivers of live runs must
 // wire cancellation to Fail (see Abort).
 type LiveSource struct {
-	ch    chan job.Job
-	done  chan struct{}
-	nodes int // the lane's fixed RE size: wider tasks could never run
+	ch       chan job.Job
+	done     chan struct{} // closed by Fail, after failErr is set
+	nodes    int           // the lane's fixed RE size: wider tasks could never run
+	failOnce sync.Once
+	failErr  error
 
 	mu         sync.Mutex
 	closed     bool
-	failed     bool
-	failErr    error
 	seeded     bool
 	lastSubmit int64
 	pushed     int
@@ -64,8 +64,8 @@ func NewLiveSource(buffer, fixedNodes int) *LiveSource {
 // admit validates a record on the producer side, so ingestion errors
 // surface synchronously to the client instead of killing the run.
 func (s *LiveSource) admit(j *job.Job) error {
-	if s.failed {
-		return s.failErr
+	if err := s.failure(); err != nil {
+		return err
 	}
 	if s.closed {
 		return ErrClosed
@@ -127,8 +127,8 @@ func (s *LiveSource) Push(ctx context.Context, j job.Job) error {
 func (s *LiveSource) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failed {
-		return s.failErr
+	if err := s.failure(); err != nil {
+		return err
 	}
 	if s.closed {
 		return ErrClosed
@@ -140,19 +140,27 @@ func (s *LiveSource) Close() error {
 
 // Fail aborts the stream: every later Next returns err, dropping any
 // buffered jobs. It is how cancellation reaches a Feeder blocked in
-// Next. Fail after Close still fails the source, so cancelling a run
-// after its end record stops it; a second Fail keeps the first error.
+// Next, or a producer blocked in Push (so it takes no lock). Fail after
+// Close still fails the source, so cancelling a run after its end record
+// stops it; a second Fail keeps the first error.
 func (s *LiveSource) Fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed {
-		return
-	}
 	if err == nil {
 		err = errors.New("stream: live source aborted")
 	}
-	s.failed, s.failErr = true, err
-	close(s.done)
+	s.failOnce.Do(func() {
+		s.failErr = err
+		close(s.done)
+	})
+}
+
+// failure reports the error Fail set, or nil before Fail.
+func (s *LiveSource) failure() error {
+	select {
+	case <-s.done:
+		return s.failErr
+	default:
+		return nil
+	}
 }
 
 // Pushed reports how many jobs have been accepted so far.
@@ -174,10 +182,8 @@ func (s *LiveSource) Closed() bool {
 func (s *LiveSource) Next() (job.Job, error) {
 	// A failed source must not hand out buffered jobs, and a select with
 	// both channels ready picks one at random: check done first.
-	select {
-	case <-s.done:
-		return job.Job{}, s.failErr
-	default:
+	if err := s.failure(); err != nil {
+		return job.Job{}, err
 	}
 	select {
 	case j, ok := <-s.ch:

@@ -223,12 +223,13 @@ func (p *Platform) Claim(name string) error {
 
 // Starter adapts a runtime environment's start to a start hook. A start
 // can fail when runtime environments that each fit the pool do not fit
-// together; the hook keeps the first such error, the run goes on without
-// that runtime environment, and Settle returns the error.
+// together; the hook keeps the first such error and stops the engine, so
+// the run ends at the failing instant, and Settle returns the error.
 func (p *Platform) Starter(start func() error) func() {
 	return func() {
 		if err := start(); err != nil && p.startErr == nil {
 			p.startErr = fmt.Errorf("systems: runtime environment start at t=%d: %w", p.engine.Now(), err)
+			p.engine.Stop()
 		}
 	}
 }

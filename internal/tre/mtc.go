@@ -25,10 +25,7 @@ type MTCServer struct {
 // NewMTCServer builds an MTC TRE server (FCFS, 3-second scans unless
 // overridden by cfg.Params).
 func NewMTCServer(engine *sim.Engine, prov *csf.ProvisionService, cfg Config) (*MTCServer, error) {
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = sched.FCFS{}
-	}
-	base, err := newServer(engine, prov, cfg)
+	base, err := newServer(engine, prov, cfg, sched.FCFS{})
 	if err != nil {
 		return nil, err
 	}

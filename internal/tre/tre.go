@@ -21,6 +21,22 @@
 // systems.Workload.Validate checks every workflow with one (unique task
 // IDs, dependencies inside the workflow, no cycle) before any system runs
 // it, so SubmitWorkflow refuses only workflows that bypass that check.
+//
+// # Scans that cannot act are skipped
+//
+// Scans keep the paper's grid, but a Server keeps one dirty flag: it
+// starts set; a queue push (Submit, SubmitWorkflow, a trigger-monitor
+// release), a completion and an idle-check release set it; only a scan
+// deciding policy.NoRequest clears it; a clean scan returns before
+// dispatch and Decide. That is exact:
+//
+//   - First-Fit and FCFS dispatch are functions of (queue, free nodes),
+//     and idempotent: each job left is wider than the nodes left free.
+//   - policy.Decide is a pure function of (demand, largest job, owned
+//     nodes), and only the events that set the flag change those.
+//   - A grant leaves the server dirty, and so does a refused request,
+//     since a bounded pool can free nodes later.
+//   - EASY backfill reads the clock and RunningEnds: it scans every time.
 package tre
 
 import (
@@ -41,9 +57,6 @@ type Config struct {
 	Name string
 	// Params is the resource-management policy (B, R, scan intervals).
 	Params policy.Params
-	// Scheduler dispatches queued jobs; defaults to First-Fit for HTC
-	// and FCFS for MTC when nil.
-	Scheduler sched.Policy
 	// EasyBackfill replaces the HTC dispatch policy with EASY
 	// backfilling wired to the server's running-job state (an ablation
 	// extension; the paper's policy avoids runtime estimates).
@@ -53,6 +66,7 @@ type Config struct {
 // Server is the common machinery of both TRE flavours.
 type Server struct {
 	cfg    Config
+	sched  sched.Policy
 	engine *sim.Engine
 	prov   *csf.ProvisionService
 
@@ -68,8 +82,9 @@ type Server struct {
 	firstSubmit  sim.Time
 	lastDone     sim.Time
 
-	running   map[*job.Job]sim.Time // job -> end time (for backfill)
+	running   map[*job.Job]sim.Time // job -> end time; EASY backfill only
 	stopScan  func()
+	dirty     bool // a scan may act (see the package doc)
 	destroyed bool
 	started   bool
 
@@ -128,6 +143,7 @@ func (n *idleNode) run() {
 		panic(fmt.Sprintf("tre: release %d from %s: %v", n.size, s.cfg.Name, err))
 	}
 	s.owned -= n.size
+	s.dirty = true
 	last := s.grants[len(s.grants)-1]
 	last.slot = n.slot
 	s.grants[n.slot] = last
@@ -136,7 +152,7 @@ func (n *idleNode) run() {
 }
 
 // newServer builds the shared core.
-func newServer(engine *sim.Engine, prov *csf.ProvisionService, cfg Config) (*Server, error) {
+func newServer(engine *sim.Engine, prov *csf.ProvisionService, cfg Config, pick sched.Policy) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -145,25 +161,24 @@ func newServer(engine *sim.Engine, prov *csf.ProvisionService, cfg Config) (*Ser
 	}
 	return &Server{
 		cfg:         cfg,
+		sched:       pick,
 		engine:      engine,
 		prov:        prov,
 		firstSubmit: -1,
-		running:     make(map[*job.Job]sim.Time),
+		dirty:       true,
 	}, nil
 }
 
 // NewHTCServer builds an HTC TRE server (First-Fit, minute scans unless
 // overridden by cfg.Params).
 func NewHTCServer(engine *sim.Engine, prov *csf.ProvisionService, cfg Config) (*Server, error) {
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = sched.FirstFit{}
-	}
-	s, err := newServer(engine, prov, cfg)
+	s, err := newServer(engine, prov, cfg, sched.FirstFit{})
 	if err != nil {
 		return nil, err
 	}
 	if cfg.EasyBackfill {
-		s.cfg.Scheduler = sched.EasyBackfill{Now: engine.Now, RunningEnds: s.RunningEnds}
+		s.running = make(map[*job.Job]sim.Time)
+		s.sched = sched.EasyBackfill{Now: engine.Now, RunningEnds: s.RunningEnds}
 	}
 	return s, nil
 }
@@ -200,6 +215,7 @@ func (s *Server) Submit(j *job.Job) {
 }
 
 func (s *Server) noteSubmit(n int) {
+	s.dirty = true
 	s.submitted += n
 	if s.firstSubmit < 0 {
 		s.firstSubmit = s.engine.Now()
@@ -210,9 +226,10 @@ func (s *Server) noteSubmit(n int) {
 // nodes, then negotiate resources against the demand still waiting in the
 // queue (paper Section 3.2.2: the ratio of obtaining resources counts jobs
 // *in the queue*, i.e. the backlog the current lease cannot serve), and
-// dispatch again once a grant arrives.
+// dispatch again once a grant arrives. A clean server skips it (see the
+// package doc).
 func (s *Server) scan() {
-	if s.destroyed {
+	if s.destroyed || !s.dirty {
 		return
 	}
 	s.dispatch()
@@ -222,12 +239,14 @@ func (s *Server) scan() {
 		OwnedNodes:        s.owned,
 	}
 	kind, size := policy.Decide(state, s.cfg.Params)
-	if kind != policy.NoRequest {
-		if lease, granted := s.prov.RequestLease(s.cfg.Name, size); granted > 0 {
-			s.owned += granted
-			s.armIdleCheck(lease, granted)
-			s.dispatch()
-		}
+	if kind == policy.NoRequest {
+		s.dirty = s.cfg.EasyBackfill
+		return
+	}
+	if lease, granted := s.prov.RequestLease(s.cfg.Name, size); granted > 0 {
+		s.owned += granted
+		s.armIdleCheck(lease, granted)
+		s.dispatch()
 	}
 }
 
@@ -240,7 +259,7 @@ func (s *Server) dispatch() {
 		return
 	}
 	view := s.queue.View()
-	s.pickBuf = s.cfg.Scheduler.Select(s.pickBuf[:0], view, free)
+	s.pickBuf = s.sched.Select(s.pickBuf[:0], view, free)
 	picked := s.pickBuf
 	if len(picked) == 0 {
 		return
@@ -254,8 +273,9 @@ func (s *Server) dispatch() {
 	s.queue.RemoveAll(picked)
 	for _, j := range s.jobBuf {
 		s.busy += j.Nodes
-		end := s.engine.Now() + j.Runtime
-		s.running[j] = end
+		if s.running != nil {
+			s.running[j] = s.engine.Now() + j.Runtime
+		}
 		s.scheduleCompletion(j)
 	}
 }
@@ -280,6 +300,7 @@ func (s *Server) complete(j *job.Job) {
 		return
 	}
 	s.busy -= j.Nodes
+	s.dirty = true
 	delete(s.running, j)
 	now := s.engine.Now()
 	s.completions = append(s.completions, now)
